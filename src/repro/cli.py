@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .analysis.significance import significant_periods
-from .core import ENGINES, Alphabet, SymbolSequence, mine
+from .core import Alphabet, SymbolSequence, mine
 from .core.spectral_miner import SpectralMiner
-from .parallel import FAULT_POLICIES
 from .data import (
     EventLogSimulator,
     PowerConsumptionSimulator,
@@ -38,6 +38,39 @@ from .streaming import write_symbol_file
 __all__ = ["main", "build_parser"]
 
 
+def _threshold(text: str) -> float:
+    """argparse type: a periodicity threshold in ``(0, 1]``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer ``>= 1``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return value
+
+
+def _period_list(text: str) -> list[int]:
+    """argparse type: comma-separated periods, each ``>= 1``."""
+    return [_positive_int(part) for part in text.split(",")]
+
+
+def _fail(message: str) -> NoReturn:
+    """Report a bad input as ``error: ...`` and exit with status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -48,36 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine_cmd = commands.add_parser("mine", help="mine patterns from a symbol file")
     mine_cmd.add_argument("series", type=Path, help="one-character-per-symbol file")
-    mine_cmd.add_argument("--psi", type=float, required=True,
+    mine_cmd.add_argument("--psi", type=_threshold, required=True,
                           help="periodicity threshold in (0, 1]")
     mine_cmd.add_argument("--alphabet", default=None,
                           help="symbol order, e.g. 'abcde' (default: sorted)")
     mine_cmd.add_argument("--algorithm", choices=("spectral", "convolution"),
                           default="spectral")
-    mine_cmd.add_argument("--engine",
-                          choices=ENGINES,
-                          default="bitand",
-                          help="exact engine for --algorithm convolution "
-                               "(parallel = sharded worker pool)")
-    mine_cmd.add_argument("--workers", type=int, default=None,
-                          help="worker cap for --engine parallel "
-                               "(default: CPU count)")
-    mine_cmd.add_argument("--shard-timeout", type=float, default=None,
-                          help="--engine parallel: seconds before a hung "
-                               "shard is re-dispatched (default: no limit)")
-    mine_cmd.add_argument("--max-retries", type=int, default=2,
-                          help="--engine parallel: re-dispatches granted to "
-                               "a failing shard per backend")
-    mine_cmd.add_argument("--on-fault",
-                          choices=FAULT_POLICIES,
-                          default="fallback",
-                          help="--engine parallel: fallback = degrade "
-                               "process -> thread -> serial and always "
-                               "complete; raise = abort the run")
-    mine_cmd.add_argument("--max-period", type=int, default=None)
-    mine_cmd.add_argument("--periods", default=None,
+    mine_cmd.add_argument("--max-period", type=_positive_int, default=None)
+    mine_cmd.add_argument("--periods", type=_period_list, default=None,
                           help="comma-separated periods to mine patterns at")
-    mine_cmd.add_argument("--max-arity", type=int, default=None)
+    mine_cmd.add_argument("--max-arity", type=_positive_int, default=None)
     mine_cmd.add_argument("--top", type=int, default=20,
                           help="patterns to print (by support)")
 
@@ -85,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "periods", help="list candidate periods of a symbol file"
     )
     periods_cmd.add_argument("series", type=Path)
-    periods_cmd.add_argument("--psi", type=float, required=True)
+    periods_cmd.add_argument("--psi", type=_threshold, required=True)
     periods_cmd.add_argument("--alphabet", default=None)
     periods_cmd.add_argument("--max-period", type=int, default=None)
     periods_cmd.add_argument("--min-pairs", type=int, default=1)
@@ -126,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mine a symbol file through the chunked streaming layer",
     )
     stream_cmd.add_argument("series", type=Path)
-    stream_cmd.add_argument("--psi", type=float, required=True,
+    stream_cmd.add_argument("--psi", type=_threshold, required=True,
                             help="periodicity threshold in (0, 1]")
     stream_cmd.add_argument("--alphabet", default=None,
                             help="symbol order; when given, the file is "
@@ -173,31 +186,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_series(path: Path, alphabet_spec: str | None) -> SymbolSequence:
     text = path.read_text(encoding="ascii").strip()
     if not text:
-        raise SystemExit(f"error: {path} is empty")
+        _fail(f"{path} is empty")
     alphabet = Alphabet(alphabet_spec) if alphabet_spec else None
     try:
         return SymbolSequence.from_string(text, alphabet)
     except KeyError as error:
-        raise SystemExit(f"error: symbol {error} not in the given alphabet")
+        _fail(f"symbol {error} not in the given alphabet")
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     series = _load_series(args.series, args.alphabet)
-    periods = (
-        [int(p) for p in args.periods.split(",")] if args.periods else None
-    )
     result = mine(
         series,
         psi=args.psi,
         algorithm=args.algorithm,
         max_period=args.max_period,
-        periods=periods,
+        periods=args.periods,
         max_arity=args.max_arity,
-        engine=args.engine,
-        workers=args.workers,
-        shard_timeout=args.shard_timeout,
-        max_retries=args.max_retries,
-        on_fault=args.on_fault,
     )
     print(f"series: n={series.length}, sigma={series.sigma}")
     print(result.render(limit=args.top))
@@ -266,7 +271,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
     if chunk_size < 1:
-        raise SystemExit("error: --chunk-size must be positive")
+        _fail("--chunk-size must be positive")
     if args.alphabet:
         # True one-pass mode: never hold more than a block in memory.
         alphabet = Alphabet(args.alphabet)
@@ -288,7 +293,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         fed = reader.feed_into(miner)
     except KeyError as error:
-        raise SystemExit(f"error: symbol {error} not in the given alphabet")
+        _fail(f"symbol {error} not in the given alphabet")
     scope = (
         f"window of last {miner.size}" if isinstance(miner, SlidingWindowMiner)
         else "whole stream"

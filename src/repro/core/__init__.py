@@ -5,7 +5,8 @@ Public surface:
 * data model — :class:`Alphabet`, :class:`SymbolSequence`, projections;
 * evidence — :class:`SymbolPeriodicity`, :class:`PeriodicityTable`;
 * miners — :class:`ConvolutionMiner` (exact, Fig. 2 of the paper) and
-  :class:`SpectralMiner` (scalable FFT, identical output);
+  :class:`SpectralMiner` (FFT-pruned, identical output), both counting
+  with :func:`residue_counts`;
 * patterns — :class:`PeriodicPattern`, candidate generation, and the
   :func:`mine` facade returning a :class:`MiningResult`.
 """
@@ -28,7 +29,7 @@ from .mapping import (
     witness_power,
     witnesses_to_f2_table,
 )
-from .periodicity import PeriodicityTable, SymbolPeriodicity
+from .periodicity import PeriodicityTable, SymbolPeriodicity, residue_counts
 from .convolution_miner import ENGINES, ConvolutionMiner, Engine
 from .spectral_miner import SpectralMiner
 from .patterns import DONT_CARE, PeriodicPattern
@@ -60,6 +61,7 @@ __all__ = [
     "witnesses_to_f2_table",
     "PeriodicityTable",
     "SymbolPeriodicity",
+    "residue_counts",
     "ConvolutionMiner",
     "Engine",
     "ENGINES",

@@ -147,7 +147,7 @@ def mine_patterns(
         of the table at ``psi``.
     max_arity:
         Cap on the number of fixed positions per pattern (``None`` =
-        unbounded).
+        unbounded); must be at least 1.
 
     Returns
     -------
@@ -166,6 +166,8 @@ def mine_patterns(
     """
     if not 0 < psi <= 1:
         raise ValueError("the periodicity threshold must be in (0, 1]")
+    if max_arity is not None and max_arity < 1:
+        raise ValueError("max_arity must be >= 1")
     if periods is None:
         periods = table.candidate_periods(psi)
     out: list[PeriodicPattern] = []

@@ -13,7 +13,9 @@ Pipeline (Sect. 3):
    ``W_{p,k,l}`` sets, whose cardinalities are the
    ``F2(s_k, pi_{p,l}(T))`` counts of Definition 1.
 
-Two exact engines compute step 2:
+Four exact engines compute step 2 and return the witness sets
+(:meth:`ConvolutionMiner.witness_sets`); ``"bitand"`` and
+``"kronecker"`` are the paper-literal ones:
 
 ``"kronecker"``
     One big-integer multiplication evaluates the whole convolution at
@@ -34,31 +36,23 @@ Two exact engines compute step 2:
 ``"wordarray"``
     The same lazy components, computed over a numpy ``uint64`` word
     array instead of a Python integer
-    (:mod:`repro.convolution.bitops`).  Wins on long series (millions
-    of packed bits), where the vectorised shift/AND/decode beats Python
-    big-int traffic by 2-3x; on short dense series the big-int engine's
-    C fast path keeps the edge.
+    (:mod:`repro.convolution.bitops`).
 
 ``"parallel"``
     The ``wordarray`` components sharded across a worker pool
     (:mod:`repro.parallel`): the packed words are exported once via
-    shared memory, contiguous period shards run concurrently, and
-    ``periodicity_table`` takes a **count-only fast path** that sums
-    witness bits per ``(symbol, position)`` residue class instead of
-    decoding positions.  The ``workers=`` knob caps the pool.  The
-    engine is fault-tolerant: hung shards trip ``shard_timeout``,
-    failed shards are re-dispatched up to ``max_retries`` times with
-    exponential backoff, and under ``on_fault="fallback"`` (default)
-    the run degrades ``process -> thread -> serial`` rather than
-    abort, so the result is always identical to the serial engines;
-    ``on_fault="raise"`` aborts instead.  Recovery is recorded in
-    ``fault_events``.
+    shared memory and contiguous period shards run concurrently.  The
+    ``workers=`` knob caps the pool.
 
 All engines produce bit-for-bit identical witness sets (property-tested
-against each other and against the quadratic reference).  For large
-series where only the counts matter, use
-:class:`repro.core.spectral_miner.SpectralMiner`, which trades the
-witness bookkeeping for floating-point FFTs.
+against each other and against the quadratic reference).
+
+Step 3 needs only the cardinalities ``|W_{p,k,l}|``, and those do not
+need the witnesses: :meth:`ConvolutionMiner.periodicity_table` reads
+them straight off the codes with
+:func:`repro.core.periodicity.residue_counts`, whichever engine is
+selected.  The test suite pins that kernel to the decoded witness sets
+of every engine and to the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -73,23 +67,18 @@ from ..convolution.bigint import (
     weighted_convolution_witnesses,
 )
 from ..convolution.bitops import pack_positions, shifted_self_and
-from ..faults import FallbackEvent, FaultEvent, FaultPlan
 from ..parallel import ParallelWitnessEngine
-from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
-from .periodicity import PeriodicityTable
+from .mapping import binary_vector, binary_vector_bits
+from .periodicity import PeriodicityTable, residue_counts
 from .sequence import SymbolSequence
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
 
 Engine = Literal["bitand", "kronecker", "wordarray", "parallel"]
 
-#: the engine registry — the single source of truth the CLI choices,
-#: the ``Engine`` alias, docs, and tests are all checked against
-#: (lint rule RL004).
+#: the engine registry — the single source of truth the ``Engine``
+#: alias, docs, and tests are all checked against (lint rule RL004).
 ENGINES: tuple[Engine, ...] = ("bitand", "kronecker", "wordarray", "parallel")
-
-# Backwards-compatible alias; new code should import ENGINES.
-_ENGINES = ENGINES
 
 #: Kronecker products hold (sigma*n)**2 bits; past this the engine would
 #: allocate gigabytes, so it refuses and points at the lazy engines.
@@ -103,32 +92,14 @@ class ConvolutionMiner:
     ----------
     engine:
         ``"bitand"`` (default), ``"kronecker"``, ``"wordarray"``, or
-        ``"parallel"`` — see the module docstring.  Outputs are
-        identical.
+        ``"parallel"`` — the witness engine :meth:`witness_sets` runs;
+        see the module docstring.  Outputs are identical.
     max_period:
         Largest period to analyse; defaults to ``n // 2`` per the paper's
         Fig. 2 loop.
     workers:
         Worker cap for the ``"parallel"`` engine (default: CPU count);
-        ignored by the serial engines.
-    shard_timeout:
-        ``"parallel"`` only: seconds to wait for one shard before
-        treating it as hung and re-dispatching (``None``: no limit).
-    max_retries:
-        ``"parallel"`` only: re-dispatches granted to a failing shard
-        per backend (default 2).
-    retry_backoff:
-        ``"parallel"`` only: base of the exponential backoff between
-        re-dispatches, in seconds.
-    on_fault:
-        ``"parallel"`` only: ``"fallback"`` (default) degrades
-        ``process -> thread -> serial`` and always completes with a
-        table identical to the serial engines; ``"raise"`` aborts with
-        :class:`repro.parallel.ShardFailure`.
-    fault_plan:
-        ``"parallel"`` only: a deterministic
-        :class:`repro.faults.FaultPlan` injected into workers (for
-        tests and chaos drills; leave ``None`` in production).
+        ignored by the other engines.
     """
 
     def __init__(
@@ -136,12 +107,6 @@ class ConvolutionMiner:
         engine: Engine = "bitand",
         max_period: int | None = None,
         workers: int | None = None,
-        *,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.01,
-        on_fault: str = "fallback",
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
@@ -150,20 +115,6 @@ class ConvolutionMiner:
         self._engine = engine
         self._max_period = max_period
         self._workers = workers
-        # Constructed eagerly so bad knob values fail at miner
-        # construction, not mid-mine; the engine is stateless until run.
-        self._parallel: ParallelWitnessEngine | None = (
-            ParallelWitnessEngine(
-                workers=workers,
-                shard_timeout=shard_timeout,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                on_fault=on_fault,
-                fault_plan=fault_plan,
-            )
-            if engine == "parallel"
-            else None
-        )
 
     # -- public API ------------------------------------------------------------
 
@@ -183,53 +134,26 @@ class ConvolutionMiner:
         elif self._engine == "wordarray":
             witnesses = self._wordarray_witnesses(series, max_period)
         elif self._engine == "parallel":
-            witnesses = self._parallel_engine().witness_sets(
-                self._packed_words(series), series.length, series.sigma, max_period
+            witnesses = ParallelWitnessEngine(workers=self._workers).witness_sets(
+                self._packed_words(series), n, series.sigma, max_period
             )
         else:
             witnesses = self._bitand_witnesses(series, max_period)
         return {p: w for p, w in witnesses.items() if w.size}
 
-    def f2_tables(
-        self, series: SymbolSequence
-    ) -> dict[int, dict[tuple[int, int], int]]:
-        """The per-period ``F2`` tables ``{(symbol, position): count}``.
-
-        The ``"parallel"`` engine serves this from its count-only fast
-        path — witness cardinalities summed per residue class, no
-        position decode; the serial engines decode witness sets and
-        group them.  Results are identical.
-        """
-        n = series.length
-        max_period = self._resolve_max_period(n)
-        if self._engine == "parallel":
-            if n < 2 or max_period < 1:
-                return {}
-            tables = self._parallel_engine().f2_tables(
-                self._packed_words(series), n, series.sigma, max_period
-            )
-            return {p: t for p, t in tables.items() if t}
-        return {
-            p: witnesses_to_f2_table(w, n, series.sigma, p)
-            for p, w in self.witness_sets(series).items()
-        }
-
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
-        """Mine the full ``F2`` evidence table of the series."""
-        return PeriodicityTable(
-            series.length, series.alphabet, self.f2_tables(series)
-        )
+        """Mine the full ``F2`` evidence table of the series.
 
-    @property
-    def fault_events(self) -> tuple[FaultEvent | FallbackEvent, ...]:
-        """Faults survived and fallbacks taken by the last parallel run.
-
-        Empty for the serial engines, and for parallel runs that hit no
-        faults (the overwhelmingly common case).
+        Every ``|W_{p,k,l}|`` comes from :func:`residue_counts`, one
+        period at a time; the witness engine is not run.
         """
-        if self._parallel is None:
-            return ()
-        return self._parallel.events
+        max_period = self._resolve_max_period(series.length)
+        codes, sigma = series.codes, series.sigma
+        return PeriodicityTable.from_blocks(
+            series.length,
+            series.alphabet,
+            ((p, residue_counts(codes, sigma, p)) for p in range(1, max_period + 1)),
+        )
 
     # -- engines ---------------------------------------------------------------
 
@@ -257,10 +181,6 @@ class ConvolutionMiner:
         """The series packed as the ``uint64`` word array ``X``."""
         total = series.sigma * series.length
         return pack_positions(total - 1 - binary_vector_bits(series), total)
-
-    def _parallel_engine(self) -> ParallelWitnessEngine:
-        assert self._parallel is not None  # guarded by engine == "parallel"
-        return self._parallel
 
     def _wordarray_witnesses(
         self, series: SymbolSequence, max_period: int

@@ -13,8 +13,15 @@ of the corresponding single-symbol pattern (Definition 2).
 A :class:`PeriodicityTable` stores the complete evidence — the ``F2``
 counts per ``(period, symbol, position)`` — produced by either mining
 algorithm, and answers the threshold queries the rest of the pipeline
-needs.  Both the faithful big-integer miner and the scalable spectral
-miner emit this exact structure, which is what makes them interchangeable.
+needs.  Both miners emit this exact structure, which is what makes them
+interchangeable, and both fill it from one counting kernel,
+:func:`residue_counts`.  The
+paper reads ``F2(s_k, pi_{p,l})`` off the witness set ``W_{p,k,l}`` of
+one convolution; over the integer codes the same number is the count of
+``j = l (mod p)`` with ``t_j = t_{j+p} = s_k`` — one comparison of the
+series against its shift by ``p`` plus one ``np.bincount`` keyed by
+``k * p + j mod p``.  :func:`residue_table` turns such a block into the
+``(symbol, position) -> F2`` dict the table stores.
 
 The module also defines the *dense layout* used by the streaming layer:
 every ``(period, symbol, position)`` triple up to a period cap flattened
@@ -28,7 +35,7 @@ table in one vectorised pass.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +48,42 @@ __all__ = [
     "PeriodicityTable",
     "dense_offsets",
     "dense_size",
+    "residue_counts",
+    "residue_table",
 ]
+
+
+def residue_counts(codes: np.ndarray, sigma: int, period: int) -> np.ndarray:
+    """Every ``F2(s_k, pi_{p,l}(T))`` of one period, as a dense block.
+
+    Entry ``[k, l]`` of the ``(sigma, period)`` int64 result counts the
+    ``j = l (mod period)`` with ``codes[j] == codes[j + period] == k``:
+    the cardinality of the paper's witness set ``W_{p,k,l}``.  Row-major
+    it is exactly period ``p``'s block of the :func:`dense_offsets`
+    layout.
+    """
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    if codes.size <= period:
+        return np.zeros((sigma, period), dtype=np.int64)
+    j = np.flatnonzero(codes[:-period] == codes[period:])
+    keys = codes[j] * period + j % period
+    return np.bincount(keys, minlength=sigma * period).reshape(sigma, period)
+
+
+def residue_table(block: np.ndarray) -> dict[tuple[int, int], int]:
+    """The non-zero ``(symbol, position) -> F2`` entries of one block.
+
+    ``block`` is a ``(sigma, period)`` count array such as
+    :func:`residue_counts` returns.
+    """
+    flat = block.ravel()
+    nonzero = np.flatnonzero(flat)
+    if nonzero.size == 0:
+        return {}
+    period = block.shape[1]
+    keys = zip((nonzero // period).tolist(), (nonzero % period).tolist())
+    return dict(zip(keys, flat[nonzero].tolist()))
 
 
 def dense_offsets(sigma: int, max_period: int) -> np.ndarray:
@@ -138,28 +180,42 @@ class PeriodicityTable:
 
         ``dense`` must follow the layout of :func:`dense_offsets` for
         ``sigma = len(alphabet)`` and the given ``max_period``.  Only
-        non-zero counters are materialised; the conversion is one
-        vectorised pass per period, so snapshots stay cheap even when
-        the dense store is large.
+        non-zero counters are materialised; each period's block is a
+        zero-copy view handed to :meth:`from_blocks`, so snapshots stay
+        cheap even when the dense store is large.
         """
         sigma = len(alphabet)
         offsets = dense_offsets(sigma, max_period)
         if dense.shape != (dense_size(sigma, max_period),):
             raise ValueError("dense array does not match the layout")
+        return cls.from_blocks(
+            n,
+            alphabet,
+            (
+                (p, dense[offsets[p] : offsets[p] + sigma * p].reshape(sigma, p))
+                for p in range(1, max_period + 1)
+            ),
+        )
+
+    @classmethod
+    def from_blocks(
+        cls,
+        n: int,
+        alphabet: Alphabet,
+        blocks: Iterable[tuple[int, np.ndarray]],
+    ) -> "PeriodicityTable":
+        """Build a table from per-period ``(period, block)`` pairs.
+
+        Each block is a ``(sigma, period)`` count array such as
+        :func:`residue_counts` returns; only its non-zero entries are
+        materialised (:func:`residue_table`).  Both miners and
+        :meth:`from_dense` build their tables here.
+        """
         counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            start = int(offsets[p])
-            block = dense[start : start + sigma * p]
-            nonzero = np.nonzero(block)[0]
-            if nonzero.size == 0:
-                continue
-            codes = (nonzero // p).tolist()
-            positions = (nonzero % p).tolist()
-            values = block[nonzero].tolist()
-            counts[p] = {
-                (code, position): value
-                for code, position, value in zip(codes, positions, values)
-            }
+        for p, block in blocks:
+            table_p = residue_table(block)
+            if table_p:
+                counts[p] = table_p
         table = cls.__new__(cls)
         table._n = int(n)
         table._alphabet = alphabet

@@ -103,24 +103,10 @@ def f2_table_for_period(series: SymbolSequence, p: int) -> dict[tuple[int, int],
     """All non-zero ``F2(s_k, pi_{p,l}(T))`` for one period ``p``.
 
     Returns a mapping ``(symbol_code, position) -> F2`` containing only
-    non-zero entries.  Vectorised: one pass over the ``n - p`` aligned
-    pairs of the series.
+    non-zero entries: the shared counting kernel
+    :func:`repro.core.periodicity.residue_counts` read as a dict.
     """
-    if p < 1:
-        raise ValueError("period must be >= 1")
-    codes = series.codes
-    n = codes.size
-    if p >= n:
-        return {}
-    match = codes[:-p] == codes[p:]
-    positions = np.nonzero(match)[0]
-    if positions.size == 0:
-        return {}
-    symbols = codes[positions]
-    residues = positions % p
-    table: dict[tuple[int, int], int] = {}
-    keys = np.stack([symbols, residues], axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    for (k, l), c in zip(uniq, counts):
-        table[(int(k), int(l))] = int(c)
-    return table
+    # Imported here: periodicity builds on this module's pair counts.
+    from .periodicity import residue_counts, residue_table
+
+    return residue_table(residue_counts(series.codes, series.sigma, p))

@@ -13,14 +13,20 @@ at once — but replaces the witness bookkeeping with two cheap stages:
    support denominator is at least ``min_pairs(p)``, any ``(k, p)``
    with ``M_k(p) < psi * min_pairs(p)`` can be discarded without ever
    looking at positions.
-2. **Residue stage.**  For each surviving ``(k, p)`` the per-position
-   split ``F2(s_k, pi_{p,l})`` is a bincount of the match positions by
-   ``j mod p`` — one vectorised pass over the occurrences of ``s_k``.
+2. **Residue stage.**  For every period with a surviving symbol the
+   per-position split ``F2(s_k, pi_{p,l})`` comes from the shared
+   counting kernel :func:`repro.core.periodicity.residue_counts` — the
+   same one :class:`repro.core.convolution_miner.ConvolutionMiner`
+   uses — and the rows of pruned symbols are dropped.
 
-On periodic data almost every ``(k, p)`` dies in stage 1, so the total
-work stays near the FFT cost; the adversarial worst case (a constant
-series, where every shift of every symbol survives) degrades to the
-quadratic residue stage, which ``max_period`` bounds.
+A period with no surviving symbol skips stage 2.  The bound bites while
+``M_k(p)`` is small next to ``psi * n / p``: for random codes
+``M_k(p) ~ n / sigma**2``, so pruning pays for periods below about
+``psi * sigma**2``.  Past that, and in the worst case (a constant
+series, where every shift of every symbol survives), the miner costs
+the FFTs plus the ``O(n * max_period)`` kernel pass, which
+``max_period`` bounds.  ``docs/algorithm.md`` has the measured
+crossover against the exact miner.
 
 With ``psi = None`` (or ``psi`` close to 0) the miner returns the full,
 unpruned evidence and is then *exactly* interchangeable with
@@ -30,17 +36,24 @@ asserts equality of the tables.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from ..convolution.external import blocked_match_counts
 from ..convolution.fft import correlate_fft
-from .periodicity import PeriodicityTable
-from .projection import projection_pairs
+from .periodicity import PeriodicityTable, residue_counts
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
+
+
+def _min_pairs(n: int, periods: np.ndarray) -> np.ndarray:
+    """Fewest adjacent pairs of any position of each period (at least 1).
+
+    That is ``pairs(n, p, p - 1)``, the last position's projection.
+    """
+    return np.maximum(-(-(n - periods + 1) // np.maximum(periods, 1)) - 1, 1)
 
 
 class SpectralMiner:
@@ -113,9 +126,7 @@ class SpectralMiner:
         if max_period < 1:
             return []
         counts = self.match_counts(series)
-        periods = np.arange(max_period + 1)
-        min_pairs = np.maximum(-(-(n - periods + 1) // np.maximum(periods, 1)) - 1, 1)
-        eligible = counts >= psi * min_pairs[None, :]
+        eligible = counts >= psi * _min_pairs(n, np.arange(max_period + 1))[None, :]
         eligible[:, 0] = False
         ks, ps = np.nonzero(eligible)
         return sorted((int(p), int(k)) for k, p in zip(ks, ps))
@@ -124,19 +135,10 @@ class SpectralMiner:
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
         """Mine the ``F2`` evidence table (pruned only if ``psi`` is set)."""
-        n = series.length
-        max_period = self._resolve_max_period(n)
-        if n < 2 or max_period < 1:
-            return PeriodicityTable(n, series.alphabet, {})
-        match_counts = self.match_counts(series)
-        codes = series.codes
-        occurrences = [np.nonzero(codes == k)[0] for k in range(series.sigma)]
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            table = self._residue_table(codes, occurrences, match_counts, p, n)
-            if table:
-                counts[p] = table
-        return PeriodicityTable(n, series.alphabet, counts)
+        max_period = self._resolve_max_period(series.length)
+        if series.length < 2 or max_period < 1:
+            return PeriodicityTable(series.length, series.alphabet, {})
+        return self._residue_stage(series, self.match_counts(series))
 
     def periodicity_table_out_of_core(
         self,
@@ -150,23 +152,12 @@ class SpectralMiner:
         than one block, demonstrating the paper's external-FFT remark.
         Stage 2 still needs the series (it is position-local and cheap).
         """
-        n = series_for_residues.length
-        max_period = self._resolve_max_period(n)
-        if n < 2 or max_period < 1:
-            return PeriodicityTable(n, series_for_residues.alphabet, {})
-        match_counts = blocked_match_counts(
-            code_blocks, series_for_residues.sigma, max_period
-        )
-        codes = series_for_residues.codes
-        occurrences = [
-            np.nonzero(codes == k)[0] for k in range(series_for_residues.sigma)
-        ]
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            table = self._residue_table(codes, occurrences, match_counts, p, n)
-            if table:
-                counts[p] = table
-        return PeriodicityTable(n, series_for_residues.alphabet, counts)
+        series = series_for_residues
+        max_period = self._resolve_max_period(series.length)
+        if series.length < 2 or max_period < 1:
+            return PeriodicityTable(series.length, series.alphabet, {})
+        match_counts = blocked_match_counts(code_blocks, series.sigma, max_period)
+        return self._residue_stage(series, match_counts)
 
     # -- internals -------------------------------------------------------------------
 
@@ -176,28 +167,29 @@ class SpectralMiner:
             raise ValueError("max_period must be >= 1")
         return min(max_period, n - 1) if n > 1 else 0
 
-    def _residue_table(
-        self,
-        codes: np.ndarray,
-        occurrences: list[np.ndarray],
-        match_counts: np.ndarray,
-        p: int,
-        n: int,
-    ) -> dict[tuple[int, int], int]:
-        """Stage 2 for one period: split surviving symbols by ``j mod p``."""
-        table: dict[tuple[int, int], int] = {}
-        min_pairs = projection_pairs(n, p, p - 1)
-        for k, occ in enumerate(occurrences):
-            total = int(match_counts[k, p])
-            if total == 0:
-                continue
-            if self._psi is not None and total < self._psi * max(min_pairs, 1):
-                continue  # no position can reach support psi
-            starts = occ[occ + p < n]
-            starts = starts[codes[starts + p] == codes[starts]]
-            if starts.size == 0:
-                continue
-            f2_by_l = np.bincount(starts % p, minlength=p)
-            for l in np.nonzero(f2_by_l)[0]:
-                table[(int(k), int(l))] = int(f2_by_l[l])
-        return table
+    def _residue_stage(
+        self, series: SymbolSequence, match_counts: np.ndarray
+    ) -> PeriodicityTable:
+        """Stage 2: split the surviving ``(k, p)`` cells by ``j mod p``.
+
+        ``F2(s_k, pi_{p,l}) <= M_k(p)`` and every position of period
+        ``p`` has at least ``pairs(n, p, p - 1)`` pairs, so a symbol
+        whose ``M_k(p)`` is below ``psi`` times that (or zero) cannot be
+        periodic at ``p``; its row is dropped, and a period with no
+        surviving symbol is never counted.
+        """
+        n, sigma = series.length, series.sigma
+        periods = np.arange(1, match_counts.shape[1])
+        bound = np.ones(periods.size)
+        if self._psi is not None:
+            bound = np.maximum(self._psi * _min_pairs(n, periods), 1.0)
+        survives = match_counts[:, 1:] >= bound
+        codes = series.codes
+
+        def blocks() -> Iterator[tuple[int, np.ndarray]]:
+            for p in np.flatnonzero(survives.any(axis=0)) + 1:
+                block = residue_counts(codes, sigma, int(p))
+                block[~survives[:, p - 1]] = 0
+                yield int(p), block
+
+        return PeriodicityTable.from_blocks(n, series.alphabet, blocks())

@@ -1,7 +1,7 @@
 """RL004 — the engine registry is the single source of truth.
 
 :data:`repro.core.convolution_miner.ENGINES` names the exact engines.
-The CLI's ``--engine`` choices, the ``Engine`` ``Literal`` alias, every
+Any ``--engine`` argparse choices, the ``Engine`` ``Literal`` alias, every
 ``engine="..."`` literal in code/tests, and the engine names quoted in
 the documentation must all agree with it — a drifted literal either
 advertises an engine that raises ``ValueError`` at runtime or hides one
@@ -23,22 +23,6 @@ Checks, in both directions:
 * reverse direction: when tests (resp. docs) are part of the scanned
   set, every registry engine appears in at least one test ``engine=``
   literal (resp. somewhere in the documentation text).
-
-The parallel engine's fault-handling registries are held to the same
-standard.  :data:`repro.parallel.engine.FAULT_POLICIES` names the
-``on_fault`` policies and :data:`~repro.parallel.engine.FALLBACK_CHAIN`
-the backend degradation order; when ``engine.py`` is in the scanned
-set:
-
-* literal ``choices=`` / ``default=`` on an ``--on-fault`` argparse
-  option must match ``FAULT_POLICIES`` (spell it
-  ``choices=FAULT_POLICIES``);
-* every ``on_fault=<string>`` keyword argument and every
-  ``on_fault="..."`` / ``--on-fault ...`` mention in the docs must
-  name a registry policy (``pytest.raises`` bodies exempt);
-* reverse direction: every policy appears in the docs and in at least
-  one test ``on_fault=`` literal, and every backend of the fallback
-  chain is mentioned somewhere in the documentation.
 """
 
 from __future__ import annotations
@@ -57,22 +41,13 @@ __all__ = ["EngineRegistryParity"]
 _REGISTRY_FILE = "convolution_miner.py"
 _REGISTRY_NAMES = ("ENGINES", "_ENGINES")
 
-#: module holding the fault-handling registries of the parallel engine.
-_POLICY_FILE = "engine.py"
-_POLICY_NAMES = ("FAULT_POLICIES",)
-_CHAIN_NAMES = ("FALLBACK_CHAIN",)
-
 _DOC_ENGINE = re.compile(r"""engine\s*=\s*\(?["'`]([A-Za-z_]+)["'`]""")
 _DOC_ENGINE_EXTRA = re.compile(r"""["'](\w+)["']\s*\|""")
 _DOC_CLI_ENGINE = re.compile(r"--engine[= ]\s*([A-Za-z_]+)")
-_DOC_POLICY = re.compile(r"""on_fault\s*=\s*\(?["'`]([A-Za-z_]+)["'`]""")
-_DOC_CLI_POLICY = re.compile(r"--on-fault[= ]\s*([A-Za-z_]+)")
 
 
-def _registry_from(
-    ctx: FileContext, names: tuple[str, ...] = _REGISTRY_NAMES
-) -> tuple[list[str], ast.AST] | None:
-    """A module-level ``names`` tuple literal of ``ctx``, if present."""
+def _registry_from(ctx: FileContext) -> tuple[list[str], ast.AST] | None:
+    """The module-level ``ENGINES`` tuple literal of ``ctx``, if present."""
     for node in ctx.tree.body:
         if isinstance(node, ast.Assign):
             targets: list[ast.expr] = node.targets
@@ -83,7 +58,7 @@ def _registry_from(
         for target in targets:
             if (
                 isinstance(target, ast.Name)
-                and target.id in names
+                and target.id in _REGISTRY_NAMES
                 and isinstance(node.value, (ast.Tuple, ast.List))
             ):
                 names = [
@@ -127,12 +102,6 @@ class EngineRegistryParity(ProjectRule):
     )
 
     def check_project(
-        self, contexts: list[FileContext], docs: dict[str, str]
-    ) -> Iterator[Finding]:
-        yield from self._check_engine_registry(contexts, docs)
-        yield from self._check_fault_registries(contexts, docs)
-
-    def _check_engine_registry(
         self, contexts: list[FileContext], docs: dict[str, str]
     ) -> Iterator[Finding]:
         registry_ctx = next(
@@ -206,178 +175,6 @@ class EngineRegistryParity(ProjectRule):
                             f"{engine}\""
                         ),
                     )
-
-    def _check_fault_registries(
-        self, contexts: list[FileContext], docs: dict[str, str]
-    ) -> Iterator[Finding]:
-        policy_ctx = next(
-            (
-                ctx
-                for ctx in contexts
-                if Path(ctx.path).name == _POLICY_FILE
-                and _registry_from(ctx, _POLICY_NAMES) is not None
-            ),
-            None,
-        )
-        if policy_ctx is None:
-            return  # parallel engine not in the scanned set
-        found = _registry_from(policy_ctx, _POLICY_NAMES)
-        assert found is not None
-        policies, _ = found
-        known = set(policies)
-
-        tested: set[str] = set()
-        any_tests = False
-        for ctx in contexts:
-            is_test = self._is_test_path(ctx.path)
-            any_tests = any_tests or is_test
-            raises = pytest_raises_ranges(ctx.tree)
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                yield from self._check_policy_kwargs(
-                    ctx, node, known, raises, is_test, tested
-                )
-                yield from self._check_policy_argparse(ctx, node, known)
-
-        for path, text in docs.items():
-            yield from self._check_policy_doc(path, text, known)
-        if docs:
-            text_all = "\n".join(docs.values())
-            for policy in policies:
-                if not re.search(rf"\b{re.escape(policy)}\b", text_all):
-                    yield Finding(
-                        path=policy_ctx.path,
-                        line=1,
-                        col=1,
-                        rule=self.id,
-                        message=(
-                            f"fault policy {policy!r} is in FAULT_POLICIES "
-                            "but never mentioned in the scanned documentation"
-                        ),
-                    )
-            chain = _registry_from(policy_ctx, _CHAIN_NAMES)
-            if chain is not None:
-                for backend in chain[0]:
-                    if not re.search(rf"\b{re.escape(backend)}\b", text_all):
-                        yield Finding(
-                            path=policy_ctx.path,
-                            line=1,
-                            col=1,
-                            rule=self.id,
-                            message=(
-                                f"fallback backend {backend!r} is in "
-                                "FALLBACK_CHAIN but never mentioned in the "
-                                "scanned documentation"
-                            ),
-                        )
-        if any_tests:
-            for policy in policies:
-                if policy not in tested:
-                    yield Finding(
-                        path=policy_ctx.path,
-                        line=1,
-                        col=1,
-                        rule=self.id,
-                        message=(
-                            f"fault policy {policy!r} is in FAULT_POLICIES "
-                            "but no scanned test exercises on_fault=\""
-                            f"{policy}\""
-                        ),
-                    )
-
-    def _check_policy_kwargs(
-        self,
-        ctx: FileContext,
-        node: ast.Call,
-        known: set[str],
-        raises: list[tuple[int, int]],
-        is_test: bool,
-        tested: set[str],
-    ) -> Iterator[Finding]:
-        for keyword in node.keywords:
-            if keyword.arg != "on_fault":
-                continue
-            value = keyword.value
-            if not (
-                isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                continue
-            if value.value in known:
-                if is_test:
-                    tested.add(value.value)
-                continue
-            if line_in_ranges(value.lineno, raises):
-                continue  # negative test: the invalid policy is the point
-            yield ctx.finding(
-                self,
-                value,
-                f"fault policy {value.value!r} is not in the FAULT_POLICIES "
-                f"registry ({sorted(known)})",
-            )
-
-    def _check_policy_argparse(
-        self, ctx: FileContext, node: ast.Call, known: set[str]
-    ) -> Iterator[Finding]:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "add_argument"):
-            return
-        if not (
-            node.args
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == "--on-fault"
-        ):
-            return
-        for keyword in node.keywords:
-            if keyword.arg == "choices" and isinstance(
-                keyword.value, (ast.Tuple, ast.List, ast.Set)
-            ):
-                literal = {
-                    element.value
-                    for element in keyword.value.elts
-                    if isinstance(element, ast.Constant)
-                }
-                if literal != known:
-                    yield ctx.finding(
-                        self,
-                        keyword.value,
-                        "--on-fault choices are hand-listed and drift from "
-                        f"the FAULT_POLICIES registry ({sorted(known)}); "
-                        "derive them with choices=FAULT_POLICIES",
-                    )
-            elif keyword.arg == "default" and isinstance(
-                keyword.value, ast.Constant
-            ):
-                if (
-                    isinstance(keyword.value.value, str)
-                    and keyword.value.value not in known
-                ):
-                    yield ctx.finding(
-                        self,
-                        keyword.value,
-                        f"--on-fault default {keyword.value.value!r} is not "
-                        "in the FAULT_POLICIES registry",
-                    )
-
-    def _check_policy_doc(
-        self, path: str, text: str, known: set[str]
-    ) -> Iterator[Finding]:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            mentioned = set(_DOC_POLICY.findall(line))
-            mentioned |= set(_DOC_CLI_POLICY.findall(line))
-            for name in sorted(mentioned - known):
-                yield Finding(
-                    path=path,
-                    line=lineno,
-                    col=1,
-                    rule=self.id,
-                    message=(
-                        f"documentation names fault policy {name!r}, which "
-                        "is not in the FAULT_POLICIES registry "
-                        f"({sorted(known)})"
-                    ),
-                )
 
     @staticmethod
     def _is_test_path(path: str) -> bool:

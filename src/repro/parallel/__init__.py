@@ -9,31 +9,22 @@ a worker pool:
   period ranges, process/thread backend choice);
 * :mod:`repro.parallel.transport` — one-shot shared-memory export of
   the packed ``uint64`` words, so tasks ship a name, not megabytes;
-* :mod:`repro.parallel.engine` — the executor plus the count-only
-  ``F2`` fast path used by pipeline scouting, hardened with per-shard
-  timeouts, bounded retry, and the ``process -> thread -> serial``
-  fallback chain (:data:`FALLBACK_CHAIN`, :data:`FAULT_POLICIES`).
+* :mod:`repro.parallel.engine` — the executor plus a count-only ``F2``
+  decode of each component.
 
-Reached through ``ConvolutionMiner(engine="parallel", workers=...)``;
-direct use is for callers that already hold packed words.
+Reached through ``ConvolutionMiner(engine="parallel", workers=...)``,
+whose ``witness_sets`` it serves; the miner's evidence table comes from
+:func:`repro.core.periodicity.residue_counts` instead.  Direct use is
+for callers that already hold packed words.
 """
 
-from .engine import (
-    FALLBACK_CHAIN,
-    FAULT_POLICIES,
-    ParallelWitnessEngine,
-    ShardFailure,
-    component_f2_counts,
-)
+from .engine import ParallelWitnessEngine, component_f2_counts
 from .plan import Shard, ShardPlan, plan_shards
 from .transport import SharedWords, attach_words
 
 __all__ = [
     "ParallelWitnessEngine",
     "component_f2_counts",
-    "FALLBACK_CHAIN",
-    "FAULT_POLICIES",
-    "ShardFailure",
     "Shard",
     "ShardPlan",
     "plan_shards",

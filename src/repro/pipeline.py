@@ -97,22 +97,6 @@ class PeriodicityPipeline:
     anomaly_threshold:
         Violation score at which a segment is flagged (``None``
         disables anomaly detection).
-    engine:
-        Exact-engine choice when ``algorithm="convolution"``; with
-        ``"parallel"`` the scouting stage runs the sharded count-only
-        fast path (:mod:`repro.parallel`).
-    workers:
-        Worker cap for ``engine="parallel"``.
-    shard_timeout:
-        ``engine="parallel"``: per-shard timeout in seconds before a
-        hung shard is re-dispatched (``None``: no limit).
-    max_retries:
-        ``engine="parallel"``: re-dispatches granted to a failing
-        shard per backend.
-    on_fault:
-        ``engine="parallel"``: ``"fallback"`` (default) degrades
-        ``process -> thread -> serial`` and always completes;
-        ``"raise"`` aborts on an unrecoverable shard.
     """
 
     def __init__(
@@ -124,11 +108,6 @@ class PeriodicityPipeline:
         max_arity: int | None = 6,
         significance_alpha: float | None = 1e-3,
         anomaly_threshold: float | None = 0.6,
-        engine: str = "bitand",
-        workers: int | None = None,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        on_fault: str = "fallback",
     ) -> None:
         if not 0 < psi <= 1:
             raise ValueError("psi must lie in (0, 1]")
@@ -139,11 +118,6 @@ class PeriodicityPipeline:
         self._max_arity = max_arity
         self._alpha = significance_alpha
         self._anomaly_threshold = anomaly_threshold
-        self._engine = engine
-        self._workers = workers
-        self._shard_timeout = shard_timeout
-        self._max_retries = max_retries
-        self._on_fault = on_fault
 
     def run_values(
         self, values: Sequence[float] | np.ndarray
@@ -155,24 +129,18 @@ class PeriodicityPipeline:
         """Run the pipeline on an already-symbolic series."""
         # Stage 1: mine the evidence table; defer pattern mining until
         # the base periods are known (Definition 3 explodes on their
-        # multiples).  With the parallel convolution engine this stage
-        # runs the sharded count-only fast path.
+        # multiples).
         scouting = mine(
             series,
             psi=self._psi,
             algorithm=self._algorithm,
             max_period=self._max_period,
             periods=[],
-            engine=self._engine,
-            workers=self._workers,
-            shard_timeout=self._shard_timeout,
-            max_retries=self._max_retries,
-            on_fault=self._on_fault,
         )
         families = tuple(base_periods(scouting.table, self._psi))
         bases = [f.base for f in families]
         # Stage 2 re-derives patterns from the stage-1 evidence table —
-        # the series is packed and mined exactly once per run.
+        # the series is mined exactly once per run.
         result = mine(
             series,
             psi=self._psi,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.core import Alphabet, SymbolSequence
+from repro.core import Alphabet, ConvolutionMiner, PeriodicityTable, SymbolSequence
+from repro.core.mapping import witnesses_to_f2_table
+from repro.parallel import ParallelWitnessEngine
 
 
 @pytest.fixture
@@ -33,6 +35,39 @@ def random_series(
     """An i.i.d. uniform series for randomised equivalence checks."""
     codes = rng.integers(0, sigma, size=n)
     return SymbolSequence.from_codes(codes.astype(np.int64), Alphabet.of_size(sigma))
+
+
+def witness_table(
+    engine: str, series: SymbolSequence, max_period: int | None = None
+) -> PeriodicityTable:
+    """The evidence table read off one witness engine's witness sets.
+
+    Each ``|W_{p,k,l}|`` is decoded from the witnesses, independently of
+    the counting kernel that ``periodicity_table`` uses.
+    """
+    miner = ConvolutionMiner(engine=engine, max_period=max_period)
+    return PeriodicityTable(
+        series.length,
+        series.alphabet,
+        {
+            p: witnesses_to_f2_table(w, series.length, series.sigma, p)
+            for p, w in miner.witness_sets(series).items()
+        },
+    )
+
+
+def parallel_count_table(
+    series: SymbolSequence, workers: int | None = None, max_period: int | None = None
+) -> PeriodicityTable:
+    """The evidence table from the parallel engine's count-only path."""
+    n = series.length
+    cap = n // 2 if max_period is None else max_period
+    cap = min(cap, n - 1) if n > 1 else 0
+    words = ConvolutionMiner(engine="parallel")._packed_words(series)
+    tables = ParallelWitnessEngine(workers=workers).f2_tables(
+        words, n, series.sigma, cap
+    )
+    return PeriodicityTable(n, series.alphabet, {p: t for p, t in tables.items() if t})
 
 
 # -- hypothesis strategies -----------------------------------------------------

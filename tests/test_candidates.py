@@ -156,6 +156,13 @@ class TestMinePatterns:
         with pytest.raises(ValueError):
             mine_patterns(paper_series, table, 0.0)
 
+    @pytest.mark.parametrize("max_arity", [0, -1])
+    def test_rejects_max_arity_below_one(self, paper_series, max_arity):
+        """A cap below 1 used to be ignored, emitting arity-1 patterns."""
+        table = ConvolutionMiner().periodicity_table(paper_series)
+        with pytest.raises(ValueError, match="max_arity"):
+            mine_patterns(paper_series, table, 0.5, max_arity=max_arity)
+
     @settings(max_examples=30, deadline=None)
     @given(series=series_strategy(min_size=6, max_size=40, max_sigma=3))
     def test_anti_monotonicity(self, series):

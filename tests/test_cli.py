@@ -66,15 +66,19 @@ class TestMine:
         assert code == 0
         assert "p=12" in capsys.readouterr().out
 
-    def test_parallel_engine_flags(self, series_file, capsys):
-        code = main(
-            ["mine", str(series_file), "--psi", "0.9",
-             "--algorithm", "convolution", "--engine", "parallel",
-             "--workers", "2", "--max-period", "15",
-             "--periods", "12", "--max-arity", "1"]
-        )
-        assert code == 0
-        assert "p=12" in capsys.readouterr().out
+    def test_engine_and_fault_flags_are_gone(self, series_file):
+        """Tables come from one counting kernel: nothing to select."""
+        for flag, value in (
+            ("--engine", "bitand"),
+            ("--workers", "2"),
+            ("--shard-timeout", "1"),
+            ("--max-retries", "1"),
+            ("--on-fault", "raise"),
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["mine", str(series_file), "--psi", "0.5", flag, value]
+                )
 
     def test_rejects_unknown_engine(self, series_file):
         with pytest.raises(SystemExit):
@@ -82,23 +86,6 @@ class TestMine:
                 ["mine", str(series_file), "--psi", "0.5",
                  "--engine", "quantum"]
             )
-
-    def test_engine_choices_derive_from_registry(self):
-        """--engine choices ARE the ENGINES registry (lint RL004's
-        single source of truth), not a hand-copied list."""
-        from repro.core import ENGINES
-
-        mine_parser = None
-        for action in build_parser()._subparsers._group_actions:
-            mine_parser = action.choices.get("mine")
-            if mine_parser is not None:
-                break
-        assert mine_parser is not None
-        engine_action = next(
-            a for a in mine_parser._actions if "--engine" in a.option_strings
-        )
-        assert tuple(engine_action.choices) == ENGINES
-        assert engine_action.default in ENGINES
 
     def test_engine_alias_exported(self):
         import repro
@@ -108,6 +95,38 @@ class TestMine:
         assert set(repro.ENGINES) == {
             "bitand", "kronecker", "wordarray", "parallel"
         }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--psi", "2"],
+            ["--psi", "0"],
+            ["--psi", "x"],
+            ["--psi", "0.5", "--max-period", "0"],
+            ["--psi", "0.5", "--max-arity", "0"],
+            ["--psi", "0.5", "--periods", "12,0"],
+            ["--psi", "0.5", "--periods", "twelve"],
+        ],
+        ids=["psi-above-1", "psi-zero", "psi-nan", "max-period-0",
+             "max-arity-0", "period-0", "period-text"],
+    )
+    def test_bad_flag_values_exit_2_with_error(self, series_file, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(series_file), *flags])
+        assert excinfo.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_bad_input_files_exit_2_with_error(self, series_file, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        for argv in (
+            ["mine", str(empty), "--psi", "0.5"],
+            ["mine", str(series_file), "--psi", "0.5", "--alphabet", "ab"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPeriods:

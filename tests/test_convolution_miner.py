@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import brute_force_table
-from repro.core import ConvolutionMiner, SymbolSequence
+from repro.core import ENGINES, ConvolutionMiner, SymbolSequence
 
 from conftest import random_series
 
@@ -96,3 +96,22 @@ class TestPeriodicityTable:
         series = SymbolSequence.from_string("aaaaaa")
         table = ConvolutionMiner().periodicity_table(series)
         assert table.confidence(1) == pytest.approx(1.0)
+
+    def test_tiny_series(self):
+        for text in ("a", "ab", "aa", "abc"):
+            series = SymbolSequence.from_string(text)
+            assert ConvolutionMiner().periodicity_table(series) == brute_force_table(series)
+
+    def test_table_does_not_depend_on_engine(self, rng):
+        series = random_series(rng, 300, 4)
+        tables = [
+            ConvolutionMiner(engine=engine, max_period=40).periodicity_table(series)
+            for engine in ENGINES
+        ]
+        assert all(table == tables[0] for table in tables)
+
+    def test_kronecker_size_limit_does_not_apply_to_tables(self, rng):
+        series = random_series(rng, 20_000, 3)
+        table = ConvolutionMiner(engine="kronecker", max_period=5).periodicity_table(series)
+        assert table == brute_force_table(series, max_period=5)
+

@@ -20,8 +20,10 @@ from repro.baselines import (
     WarpingDetector,
     brute_force_table,
 )
-from repro.core import Alphabet, SymbolSequence, projection, segment_periodicities
+from repro.core import ENGINES, Alphabet, SymbolSequence, projection, segment_periodicities
 from repro.streaming import SlidingWindowMiner
+
+from conftest import witness_table
 
 EMPTY = SymbolSequence.from_codes([], Alphabet("ab"))
 SINGLE = SymbolSequence.from_string("a", Alphabet("ab"))
@@ -139,40 +141,35 @@ class TestStreaming:
         assert table.f2(1, 0, 0) == 0
 
 
-class TestFaultHardenedEngine:
-    """Degenerate inputs through the hardened parallel engine: faults
-    planned everywhere must change nothing when there is nothing (or
-    almost nothing) to mine."""
+class TestEngineParity:
+    """Degenerate inputs: the counting kernel, the decoded witness sets
+    of every witness engine, and the streaming miner agree."""
 
-    def _miner(self, **kwargs):
-        from repro.faults import FaultPlan
-
-        kwargs.setdefault("fault_plan", FaultPlan.random(seed=1, n_shards=8))
-        kwargs.setdefault("retry_backoff", 0.0)
-        return ConvolutionMiner(engine="parallel", **kwargs)
+    @staticmethod
+    def _streamed(series):
+        miner = OnlineMiner(series.alphabet, max_period=max(series.length // 2, 1))
+        miner.extend_codes(series.codes)
+        return miner.table()
 
     @pytest.mark.parametrize("series", [EMPTY, SINGLE], ids=["empty", "single"])
     def test_degenerate_series_yield_empty_tables(self, series):
-        assert self._miner().periodicity_table(series).periods == []
-        assert self._miner().fault_events == ()
+        for engine in ENGINES:
+            assert ConvolutionMiner(engine=engine).witness_sets(series) == {}
+            assert ConvolutionMiner(engine=engine).periodicity_table(series).periods == []
+        assert self._streamed(series).periods == []
 
-    def test_unary_alphabet_matches_serial(self):
-        serial = ConvolutionMiner(engine="wordarray").periodicity_table(UNARY)
-        assert self._miner().periodicity_table(UNARY) == serial
+    def test_unary_alphabet_engines_agree(self):
+        kernel = ConvolutionMiner().periodicity_table(UNARY)
+        for engine in ENGINES:
+            assert witness_table(engine, UNARY) == kernel
+        assert self._streamed(UNARY) == kernel
 
-    def test_pair_and_constant_match_serial(self):
+    def test_pair_and_constant_engines_agree(self):
         for series in (PAIR, CONSTANT):
-            serial = ConvolutionMiner(
-                engine="wordarray"
-            ).periodicity_table(series)
-            assert self._miner().periodicity_table(series) == serial
-
-    def test_more_workers_than_shards(self):
-        # 8 periods at most, 32 workers: the planner must not starve or
-        # duplicate shards, faults or not.
-        series = SymbolSequence.from_string("abcaabca" * 2)
-        serial = ConvolutionMiner(engine="wordarray").periodicity_table(series)
-        assert self._miner(workers=32).periodicity_table(series) == serial
+            kernel = ConvolutionMiner().periodicity_table(series)
+            for engine in ENGINES:
+                assert witness_table(engine, series) == kernel
+            assert self._streamed(series) == kernel
 
 
 class TestStreamingEdges:
@@ -192,9 +189,7 @@ class TestStreamingEdges:
         miner.extend_codes([])
         assert miner.table() == before
 
-    def test_streaming_agrees_with_hardened_parallel_engine(self):
-        from repro.faults import FaultPlan
-
+    def test_streaming_agrees_with_kernel_table(self):
         rng = np.random.default_rng(12)
         codes = rng.integers(0, 3, size=240)
         alphabet = Alphabet("abc")
@@ -202,14 +197,7 @@ class TestStreamingEdges:
         miner.extend_codes(codes)
         streamed = miner.table()
         series = SymbolSequence.from_codes(codes, alphabet)
-        parallel = ConvolutionMiner(
-            engine="parallel",
-            max_period=16,
-            workers=4,
-            retry_backoff=0.0,
-            fault_plan=FaultPlan.random(seed=3, n_shards=8),
-        ).periodicity_table(series)
-        assert parallel == streamed
+        assert ConvolutionMiner(max_period=16).periodicity_table(series) == streamed
 
 
 class TestConvolutionSubstrate:

@@ -1,4 +1,5 @@
-"""Tests for repro.analysis.harmonics and the bitops substrate."""
+"""Tests for repro.analysis.harmonics, the bitops substrate, and an
+engine-parity sweep."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from repro.convolution.bitops import (
     word_and,
 )
 from repro.convolution import bit_positions, pack_bits
-from repro.core import SpectralMiner
+from repro.core import ENGINES, Alphabet, ConvolutionMiner, SpectralMiner, SymbolSequence
 from repro.data import PowerConsumptionSimulator, generate_periodic
+from repro.streaming import OnlineMiner
+
+from conftest import witness_table
 
 
 class TestGroupHarmonics:
@@ -117,14 +121,31 @@ class TestBitops:
 
 class TestWordarrayEngine:
     def test_engine_parity(self, rng):
-        from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
-
         for _ in range(5):
             n = int(rng.integers(4, 120))
             sigma = int(rng.integers(2, 6))
             series = SymbolSequence.from_codes(
                 rng.integers(0, sigma, size=n), Alphabet.of_size(sigma)
             )
-            bitand = ConvolutionMiner("bitand").periodicity_table(series)
-            wordarray = ConvolutionMiner("wordarray").periodicity_table(series)
-            assert bitand == wordarray
+            bitand = ConvolutionMiner("bitand").witness_sets(series)
+            wordarray = ConvolutionMiner("wordarray").witness_sets(series)
+            assert bitand.keys() == wordarray.keys()
+            for p in bitand:
+                assert bitand[p].tolist() == wordarray[p].tolist()
+
+
+class TestEngineParity:
+    def test_engine_parity(self, rng):
+        """Kernel table == each engine's decoded witnesses == streaming."""
+        for _ in range(5):
+            n = int(rng.integers(4, 120))
+            sigma = int(rng.integers(2, 6))
+            series = SymbolSequence.from_codes(
+                rng.integers(0, sigma, size=n), Alphabet.of_size(sigma)
+            )
+            kernel = ConvolutionMiner().periodicity_table(series)
+            for engine in ENGINES:
+                assert witness_table(engine, series) == kernel
+            online = OnlineMiner(series.alphabet, max_period=n // 2)
+            online.extend_codes(series.codes)
+            assert online.table() == kernel

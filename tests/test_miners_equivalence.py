@@ -1,18 +1,21 @@
 """Property-based equivalence: both miners == the brute-force oracle.
 
 The central correctness property of the reproduction: the paper's exact
-convolution miner (both engines), the scalable spectral miner, and the
-naive shift-and-compare oracle all compute the same F2 evidence for
-every series.
+convolution miner, the spectral miner, and the naive shift-and-compare
+oracle all compute the same F2 evidence for every series.  Both miners
+count with one kernel (``residue_counts``); the exact witness
+engines are kept as oracles for it: decoding their witness sets
+``W_{p,k,l}`` must give the kernel's table.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table
-from repro.core import ConvolutionMiner, SpectralMiner
+from repro.core import ENGINES, ConvolutionMiner, SpectralMiner
 
-from conftest import series_strategy
+from conftest import parallel_count_table, series_strategy, witness_table
 
 
 @settings(max_examples=80, deadline=None)
@@ -27,19 +30,37 @@ def test_spectral_miner_equals_oracle(series):
     assert SpectralMiner().periodicity_table(series) == brute_force_table(series)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=40, deadline=None)
-@given(series=series_strategy(min_size=2, max_size=40))
-def test_kronecker_engine_equals_oracle(series):
-    miner = ConvolutionMiner(engine="kronecker")
-    assert miner.periodicity_table(series) == brute_force_table(series)
+@given(
+    series=series_strategy(min_size=2, max_size=40),
+    cap=st.none() | st.integers(1, 45),
+)
+def test_engine_equals_kernel_and_oracle(engine, series, cap):
+    """Decoded witness sets == the counting kernel == brute force, with
+    the period range uncapped or capped (a cap past n//2 clamps to n-1)."""
+    decoded = witness_table(engine, series, max_period=cap)
+    kernel = ConvolutionMiner(max_period=cap).periodicity_table(series)
+    assert decoded == kernel
+    assert kernel == brute_force_table(series, max_period=cap)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series=series_strategy(min_size=2, max_size=40))
 def test_parallel_engine_equals_oracle(series):
     """The sharded count-only fast path is exact too."""
-    miner = ConvolutionMiner(engine="parallel", workers=2)
-    assert miner.periodicity_table(series) == brute_force_table(series)
+    assert parallel_count_table(series, workers=2) == brute_force_table(series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series=series_strategy(min_size=2, max_size=60),
+    psi=st.floats(0.05, 1.0),
+)
+def test_pruned_spectral_periodicities_equal_oracle(series, psi):
+    """The FFT bound only drops cells that cannot reach psi."""
+    pruned = SpectralMiner(psi=psi).periodicity_table(series)
+    assert pruned.periodicities(psi) == brute_force_table(series).periodicities(psi)
 
 
 @settings(max_examples=40, deadline=None)

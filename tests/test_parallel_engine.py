@@ -4,6 +4,8 @@ The engine contract: ``engine="parallel"`` is bit-for-bit
 indistinguishable from the serial exact engines, whatever the backend
 (serial fallback, thread pool, process pool with shared memory) and
 whichever result shape (witness sets or count-only ``F2`` tables).
+``ConvolutionMiner.periodicity_table`` counts with ``residue_counts``
+for every engine, so these tests drive the engine's own outputs.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table
-from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
+from repro.core import ConvolutionMiner, SymbolSequence
 from repro.core.mapping import witnesses_to_f2_table
 from repro.parallel import (
     ParallelWitnessEngine,
@@ -23,7 +25,12 @@ from repro.parallel import (
 )
 from repro.parallel.plan import Shard
 
-from conftest import random_series, series_strategy
+from conftest import (
+    parallel_count_table as _count_only_table,
+    random_series,
+    series_strategy,
+    witness_table,
+)
 
 
 def _pack(series):
@@ -58,13 +65,10 @@ class TestCrossEngineEquivalence:
     )
     def test_f2_tables_identical(self, series, workers):
         """Count-only tables == every serial engine == the oracle."""
-        parallel = ConvolutionMiner(
-            engine="parallel", workers=workers
-        ).periodicity_table(series)
+        parallel = _count_only_table(series, workers=workers)
         for engine in ("bitand", "wordarray", "kronecker"):
-            assert parallel == ConvolutionMiner(engine=engine).periodicity_table(
-                series
-            )
+            assert parallel == witness_table(engine, series)
+        assert parallel == ConvolutionMiner().periodicity_table(series)
         assert parallel == brute_force_table(series)
 
     @settings(max_examples=40, deadline=None)
@@ -75,28 +79,42 @@ class TestCrossEngineEquivalence:
     def test_max_period_cap_respected(self, series, cap):
         """Capped parallel runs agree with capped serial runs, even when
         the cap exceeds n//2 (it clamps to n-1 like the serial path)."""
-        reference = ConvolutionMiner(
-            engine="wordarray", max_period=cap
-        ).periodicity_table(series)
+        reference = witness_table("wordarray", series, max_period=cap)
         parallel = ConvolutionMiner(
             engine="parallel", max_period=cap, workers=2
-        ).periodicity_table(series)
-        assert parallel == reference
+        ).witness_sets(series)
+        assert parallel.keys() == ConvolutionMiner(
+            engine="wordarray", max_period=cap
+        ).witness_sets(series).keys()
+        assert _count_only_table(series, workers=2, max_period=cap) == reference
 
     def test_sigma_one_series(self):
         series = SymbolSequence.from_string("aaaaaaa")
-        parallel = ConvolutionMiner(engine="parallel").periodicity_table(series)
+        parallel = witness_table("parallel", series)
         assert parallel == brute_force_table(series)
+        assert _count_only_table(series) == parallel
         assert parallel.confidence(1) == pytest.approx(1.0)
 
     def test_tiny_series(self):
         for text in ("ab", "aa", "abc"):
             series = SymbolSequence.from_string(text)
-            miner = ConvolutionMiner(engine="parallel")
-            assert miner.periodicity_table(series) == brute_force_table(series)
+            assert witness_table("parallel", series) == brute_force_table(series)
+            assert _count_only_table(series) == brute_force_table(series)
         assert ConvolutionMiner(engine="parallel").witness_sets(
             SymbolSequence.from_string("a")
         ) == {}
+
+    def test_more_workers_than_shards(self):
+        # 8 periods at most, 32 workers: the planner must not starve or
+        # duplicate shards.
+        series = SymbolSequence.from_string("abcaabca" * 2)
+        reference = witness_table("wordarray", series)
+        assert witness_table("parallel", series) == reference
+        parallel = ConvolutionMiner(engine="parallel", workers=32)
+        assert parallel.witness_sets(series).keys() == ConvolutionMiner(
+            engine="wordarray"
+        ).witness_sets(series).keys()
+        assert _count_only_table(series, workers=32) == reference
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
@@ -117,9 +135,8 @@ class TestBackends:
 
     @pytest.fixture(scope="class")
     def reference(self, medium):
-        return ConvolutionMiner(engine="wordarray", max_period=60).f2_tables(
-            medium
-        )
+        table = witness_table("wordarray", medium, max_period=60)
+        return {p: table.counts_for(p) for p in table.periods}
 
     def _run(self, series, mode, count_only):
         engine = ParallelWitnessEngine(workers=2, mode=mode)

@@ -1,8 +1,10 @@
 """Tests for repro.core.periodicity."""
 
+import numpy as np
 import pytest
 
-from repro.core import Alphabet, PeriodicityTable, SymbolPeriodicity
+from repro.core import Alphabet, PeriodicityTable, SymbolPeriodicity, SymbolSequence
+from repro.core.periodicity import dense_offsets, dense_size, residue_counts, residue_table
 
 
 @pytest.fixture
@@ -141,3 +143,45 @@ class TestTableEquality:
 
     def test_repr(self, table):
         assert "PeriodicityTable" in repr(table)
+
+
+class TestResidueCounts:
+    def test_paper_example(self):
+        # T = abcabbabcb at p=3: a repeats at l=0 twice, b at l=1 twice.
+        codes = SymbolSequence.from_string("abcabbabcb").codes
+        block = residue_counts(codes, 3, 3)
+        assert block.shape == (3, 3)
+        assert block.dtype == np.int64
+        assert residue_table(block) == {(0, 0): 2, (1, 1): 2}
+
+    def test_total_is_match_count(self, rng):
+        codes = rng.integers(0, 4, 500)
+        for p in (1, 7, 250, 499):
+            assert residue_counts(codes, 4, p).sum() == np.count_nonzero(
+                codes[:-p] == codes[p:]
+            )
+
+    def test_period_at_least_length_is_empty(self):
+        codes = np.array([0, 0, 1], dtype=np.int64)
+        assert not residue_counts(codes, 2, 3).any()
+        assert residue_counts(codes, 2, 5).shape == (2, 5)
+
+    def test_rejects_non_positive_period(self):
+        with pytest.raises(ValueError):
+            residue_counts(np.zeros(4, dtype=np.int64), 1, 0)
+
+    def test_residue_table_skips_zeros(self):
+        block = np.array([[0, 3], [1, 0]], dtype=np.int64)
+        assert residue_table(block) == {(0, 1): 3, (1, 0): 1}
+        assert residue_table(np.zeros((2, 2), dtype=np.int64)) == {}
+
+    def test_from_dense_reads_kernel_blocks(self, abc, rng):
+        codes = rng.integers(0, 3, 80)
+        offsets = dense_offsets(3, 10)
+        dense = np.zeros(dense_size(3, 10), dtype=np.int64)
+        for p in range(1, 11):
+            dense[offsets[p] : offsets[p] + 3 * p] = residue_counts(codes, 3, p).ravel()
+        expected = PeriodicityTable.from_blocks(
+            80, abc, ((p, residue_counts(codes, 3, p)) for p in range(1, 11))
+        )
+        assert PeriodicityTable.from_dense(80, abc, dense, 10) == expected
