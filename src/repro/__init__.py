@@ -21,8 +21,6 @@ Sub-packages:
 * :mod:`repro.core` — data model, both miners (one shared ``F2``
   counting kernel), pattern mining;
 * :mod:`repro.convolution` — FFT / big-integer / out-of-core engines;
-* :mod:`repro.parallel` — sharded worker-pool witness engine with
-  shared-memory transport;
 * :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Berberidis,
   Han-style partial miner, brute-force oracle;
 * :mod:`repro.data` — synthetic generator, noise models, discretizers,

@@ -13,9 +13,8 @@ Pipeline (Sect. 3):
    ``W_{p,k,l}`` sets, whose cardinalities are the
    ``F2(s_k, pi_{p,l}(T))`` counts of Definition 1.
 
-Four exact engines compute step 2 and return the witness sets
-(:meth:`ConvolutionMiner.witness_sets`); ``"bitand"`` and
-``"kronecker"`` are the paper-literal ones:
+Two exact engines compute step 2 and return the witness sets
+(:meth:`ConvolutionMiner.witness_sets`), both literal to the paper:
 
 ``"kronecker"``
     One big-integer multiplication evaluates the whole convolution at
@@ -33,18 +32,7 @@ Four exact engines compute step 2 and return the witness sets
     bits; all components follow from the same single mapping of the
     data, read once.
 
-``"wordarray"``
-    The same lazy components, computed over a numpy ``uint64`` word
-    array instead of a Python integer
-    (:mod:`repro.convolution.bitops`).
-
-``"parallel"``
-    The ``wordarray`` components sharded across a worker pool
-    (:mod:`repro.parallel`): the packed words are exported once via
-    shared memory and contiguous period shards run concurrently.  The
-    ``workers=`` knob caps the pool.
-
-All engines produce bit-for-bit identical witness sets (property-tested
+Both engines produce bit-for-bit identical witness sets (property-tested
 against each other and against the quadratic reference).
 
 Step 3 needs only the cardinalities ``|W_{p,k,l}|``, and those do not
@@ -52,7 +40,7 @@ need the witnesses: :meth:`ConvolutionMiner.periodicity_table` reads
 them straight off the codes with
 :func:`repro.core.periodicity.residue_counts`, whichever engine is
 selected.  The test suite pins that kernel to the decoded witness sets
-of every engine and to the brute-force oracle.
+of both engines and to the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -66,22 +54,20 @@ from ..convolution.bigint import (
     pack_bits,
     weighted_convolution_witnesses,
 )
-from ..convolution.bitops import pack_positions, shifted_self_and
-from ..parallel import ParallelWitnessEngine
 from .mapping import binary_vector, binary_vector_bits
-from .periodicity import PeriodicityTable, residue_counts
+from .periodicity import PeriodicityTable, resolve_max_period, residue_counts
 from .sequence import SymbolSequence
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
 
-Engine = Literal["bitand", "kronecker", "wordarray", "parallel"]
+Engine = Literal["bitand", "kronecker"]
 
 #: the engine registry — the single source of truth the ``Engine``
 #: alias, docs, and tests are all checked against (lint rule RL004).
-ENGINES: tuple[Engine, ...] = ("bitand", "kronecker", "wordarray", "parallel")
+ENGINES: tuple[Engine, ...] = ("bitand", "kronecker")
 
 #: Kronecker products hold (sigma*n)**2 bits; past this the engine would
-#: allocate gigabytes, so it refuses and points at the lazy engines.
+#: allocate gigabytes, so it refuses and points at the lazy engine.
 _KRONECKER_MAX_BITS = 30_000
 
 
@@ -91,30 +77,22 @@ class ConvolutionMiner:
     Parameters
     ----------
     engine:
-        ``"bitand"`` (default), ``"kronecker"``, ``"wordarray"``, or
-        ``"parallel"`` — the witness engine :meth:`witness_sets` runs;
-        see the module docstring.  Outputs are identical.
+        ``"bitand"`` (default) or ``"kronecker"`` — the witness engine
+        :meth:`witness_sets` runs; see the module docstring.  Outputs are
+        identical.
     max_period:
-        Largest period to analyse; defaults to ``n // 2`` per the paper's
-        Fig. 2 loop.
-    workers:
-        Worker cap for the ``"parallel"`` engine (default: CPU count);
-        ignored by the other engines.
+        Largest period to analyse (at least 1); defaults to ``n // 2``
+        per the paper's Fig. 2 loop.
     """
 
     def __init__(
-        self,
-        engine: Engine = "bitand",
-        max_period: int | None = None,
-        workers: int | None = None,
+        self, engine: Engine = "bitand", max_period: int | None = None
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
+        resolve_max_period(max_period, 0)  # reject a bad cap now, not on first use
         self._engine = engine
         self._max_period = max_period
-        self._workers = workers
 
     # -- public API ------------------------------------------------------------
 
@@ -126,17 +104,11 @@ class ConvolutionMiner:
         Periods with empty witness sets are omitted.
         """
         n = series.length
-        max_period = self._resolve_max_period(n)
-        if n < 2 or max_period < 1:
+        max_period = resolve_max_period(self._max_period, n)
+        if max_period < 1:
             return {}
         if self._engine == "kronecker":
             witnesses = self._kronecker_witnesses(series, max_period)
-        elif self._engine == "wordarray":
-            witnesses = self._wordarray_witnesses(series, max_period)
-        elif self._engine == "parallel":
-            witnesses = ParallelWitnessEngine(workers=self._workers).witness_sets(
-                self._packed_words(series), n, series.sigma, max_period
-            )
         else:
             witnesses = self._bitand_witnesses(series, max_period)
         return {p: w for p, w in witnesses.items() if w.size}
@@ -147,7 +119,7 @@ class ConvolutionMiner:
         Every ``|W_{p,k,l}|`` comes from :func:`residue_counts`, one
         period at a time; the witness engine is not run.
         """
-        max_period = self._resolve_max_period(series.length)
+        max_period = resolve_max_period(self._max_period, series.length)
         codes, sigma = series.codes, series.sigma
         return PeriodicityTable.from_blocks(
             series.length,
@@ -156,12 +128,6 @@ class ConvolutionMiner:
         )
 
     # -- engines ---------------------------------------------------------------
-
-    def _resolve_max_period(self, n: int) -> int:
-        max_period = n // 2 if self._max_period is None else self._max_period
-        if self._max_period is not None and self._max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        return min(max_period, n - 1) if n > 1 else 0
 
     def _bitand_witnesses(
         self, series: SymbolSequence, max_period: int
@@ -177,21 +143,6 @@ class ConvolutionMiner:
             out[p] = bit_positions(component)
         return out
 
-    def _packed_words(self, series: SymbolSequence) -> np.ndarray:
-        """The series packed as the ``uint64`` word array ``X``."""
-        total = series.sigma * series.length
-        return pack_positions(total - 1 - binary_vector_bits(series), total)
-
-    def _wordarray_witnesses(
-        self, series: SymbolSequence, max_period: int
-    ) -> dict[int, np.ndarray]:
-        sigma = series.sigma
-        words = self._packed_words(series)
-        return {
-            p: shifted_self_and(words, sigma * p)
-            for p in range(1, max_period + 1)
-        }
-
     def _kronecker_witnesses(
         self, series: SymbolSequence, max_period: int
     ) -> dict[int, np.ndarray]:
@@ -201,8 +152,8 @@ class ConvolutionMiner:
             raise ValueError(
                 f"kronecker engine refuses sigma*n = {total:,} "
                 f"(limit {_KRONECKER_MAX_BITS:,}): the product would hold "
-                f"about {total * total:,} bits; use engine='bitand', "
-                "'wordarray', or 'parallel', or the SpectralMiner"
+                f"about {total * total:,} bits; use engine='bitand' "
+                "or the SpectralMiner"
             )
         components = weighted_convolution_witnesses(vector[::-1], vector)
         sigma = series.sigma

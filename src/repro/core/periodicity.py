@@ -50,7 +50,21 @@ __all__ = [
     "dense_size",
     "residue_counts",
     "residue_table",
+    "resolve_max_period",
 ]
+
+
+def resolve_max_period(max_period: int | None, n: int) -> int:
+    """The largest period a batch miner scans in a series of length ``n``.
+
+    ``None`` means the paper's ``n // 2``; an explicit cap must be at
+    least 1 and is clamped to ``n - 1``.  A series shorter than 2 has no
+    period, so the result is 0.
+    """
+    if max_period is not None and max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    cap = n // 2 if max_period is None else max_period
+    return min(cap, n - 1) if n > 1 else 0
 
 
 def residue_counts(codes: np.ndarray, sigma: int, period: int) -> np.ndarray:

@@ -131,6 +131,8 @@ def mine(
     >>> sorted(p.to_string(result.alphabet) for p in result.patterns_for(3))
     ['*b*', 'a**', 'ab*']
     """
+    if not 0 < psi <= 1:
+        raise ValueError(f"psi must be in (0, 1], got {psi!r}")
     if table is not None:
         pass
     elif algorithm == "spectral":

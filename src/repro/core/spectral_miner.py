@@ -42,7 +42,7 @@ import numpy as np
 
 from ..convolution.external import blocked_match_counts
 from ..convolution.fft import correlate_fft
-from .periodicity import PeriodicityTable, residue_counts
+from .periodicity import PeriodicityTable, residue_counts, resolve_max_period
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
@@ -67,23 +67,17 @@ class SpectralMiner:
         only retains ``(period, symbol)`` cells that could reach support
         ``psi`` — mining with any threshold ``>= psi`` is unaffected.
     max_period:
-        Largest period to analyse; defaults to ``n // 2``.
-    use_numpy_fft:
-        Use numpy's C FFT (default) or the package's from-scratch
-        transform.  Identical results, different speed.
+        Largest period to analyse (at least 1); defaults to ``n // 2``.
     """
 
     def __init__(
-        self,
-        psi: float | None = None,
-        max_period: int | None = None,
-        use_numpy_fft: bool = True,
+        self, psi: float | None = None, max_period: int | None = None
     ) -> None:
         if psi is not None and not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1] or None")
+        resolve_max_period(max_period, 0)  # reject a bad cap now, not on first use
         self._psi = psi
         self._max_period = max_period
-        self._use_numpy_fft = use_numpy_fft
 
     # -- stage 1: aggregate match counts ---------------------------------------
 
@@ -95,7 +89,7 @@ class SpectralMiner:
         yields for all shifts at once.
         """
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(self._max_period, n)
         counts = np.zeros((series.sigma, max_period + 1), dtype=np.int64)
         if n == 0:
             return counts
@@ -103,7 +97,7 @@ class SpectralMiner:
             indicator = series.indicator(k)
             if not indicator.any():
                 continue
-            corr = correlate_fft(indicator, use_numpy=self._use_numpy_fft)
+            corr = correlate_fft(indicator)
             upto = min(max_period + 1, corr.size)
             counts[k, :upto] = np.rint(corr[:upto]).astype(np.int64)
         return counts
@@ -122,7 +116,7 @@ class SpectralMiner:
         if not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1]")
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(self._max_period, n)
         if max_period < 1:
             return []
         counts = self.match_counts(series)
@@ -135,8 +129,8 @@ class SpectralMiner:
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
         """Mine the ``F2`` evidence table (pruned only if ``psi`` is set)."""
-        max_period = self._resolve_max_period(series.length)
-        if series.length < 2 or max_period < 1:
+        max_period = resolve_max_period(self._max_period, series.length)
+        if max_period < 1:
             return PeriodicityTable(series.length, series.alphabet, {})
         return self._residue_stage(series, self.match_counts(series))
 
@@ -153,19 +147,13 @@ class SpectralMiner:
         Stage 2 still needs the series (it is position-local and cheap).
         """
         series = series_for_residues
-        max_period = self._resolve_max_period(series.length)
-        if series.length < 2 or max_period < 1:
+        max_period = resolve_max_period(self._max_period, series.length)
+        if max_period < 1:
             return PeriodicityTable(series.length, series.alphabet, {})
         match_counts = blocked_match_counts(code_blocks, series.sigma, max_period)
         return self._residue_stage(series, match_counts)
 
     # -- internals -------------------------------------------------------------------
-
-    def _resolve_max_period(self, n: int) -> int:
-        max_period = n // 2 if self._max_period is None else self._max_period
-        if self._max_period is not None and self._max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        return min(max_period, n - 1) if n > 1 else 0
 
     def _residue_stage(
         self, series: SymbolSequence, match_counts: np.ndarray

@@ -1,8 +1,8 @@
 """RL001 — packed-word arithmetic must stay in ``uint64``.
 
-The exact engines evaluate the paper's convolution components as
-``X & (X >> sigma*p)`` over packed ``uint64`` word arrays
-(:mod:`repro.convolution.bitops`).  Mixing such an array with an
+Bit-parallel kernels, such as the paper's convolution components
+``X & (X >> sigma*p)`` evaluated word by word, work over packed
+``uint64`` word arrays.  Mixing such an array with an
 untyped Python ``int`` is the classic silent-corruption footgun: numpy
 promotes ``uint64 <op> int`` to ``float64`` or ``object`` depending on
 version and value, which either rounds 64-bit words or falls back to

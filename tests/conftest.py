@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core import Alphabet, ConvolutionMiner, PeriodicityTable, SymbolSequence
 from repro.core.mapping import witnesses_to_f2_table
-from repro.parallel import ParallelWitnessEngine
 
 
 @pytest.fixture
@@ -54,20 +53,6 @@ def witness_table(
             for p, w in miner.witness_sets(series).items()
         },
     )
-
-
-def parallel_count_table(
-    series: SymbolSequence, workers: int | None = None, max_period: int | None = None
-) -> PeriodicityTable:
-    """The evidence table from the parallel engine's count-only path."""
-    n = series.length
-    cap = n // 2 if max_period is None else max_period
-    cap = min(cap, n - 1) if n > 1 else 0
-    words = ConvolutionMiner(engine="parallel")._packed_words(series)
-    tables = ParallelWitnessEngine(workers=workers).f2_tables(
-        words, n, series.sigma, cap
-    )
-    return PeriodicityTable(n, series.alphabet, {p: t for p, t in tables.items() if t})
 
 
 # -- hypothesis strategies -----------------------------------------------------

@@ -1,8 +1,14 @@
 """Tests for repro.cli."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.data import generate_periodic
 from repro.streaming import write_symbol_file
@@ -92,9 +98,7 @@ class TestMine:
         from repro.core.convolution_miner import Engine
 
         assert repro.Engine is Engine
-        assert set(repro.ENGINES) == {
-            "bitand", "kronecker", "wordarray", "parallel"
-        }
+        assert repro.ENGINES == ("bitand", "kronecker")
 
     @pytest.mark.parametrize(
         "flags",
@@ -253,3 +257,21 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert code == 0
         assert "Table" in out
+
+
+def test_cli_import_pulls_in_no_process_pool():
+    """Starting the CLI must not load multiprocessing or concurrent.futures."""
+    probe = (
+        "import sys, repro.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('multiprocessing', 'concurrent.futures'))))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

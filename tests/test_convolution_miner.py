@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import brute_force_table
-from repro.core import ENGINES, ConvolutionMiner, SymbolSequence
+from repro.core import ENGINES, ConvolutionMiner, SpectralMiner, SymbolSequence
 
 from conftest import random_series
 
@@ -67,6 +67,23 @@ class TestWitnessSets:
         series = random_series(rng, 20_000, 3)
         with pytest.raises(ValueError, match="bitand"):
             ConvolutionMiner(engine="kronecker").witness_sets(series)
+
+    def test_kronecker_refusal_states_product_and_limit(self, rng):
+        series = random_series(rng, 20_000, 3)
+        with pytest.raises(ValueError) as excinfo:
+            ConvolutionMiner(engine="kronecker").witness_sets(series)
+        message = str(excinfo.value)
+        assert "60,000" in message  # sigma*n, the quantity the limit caps
+        assert "30,000" in message  # the limit itself
+        assert "3,600,000,000" in message  # the product's bit size
+        assert message.endswith("use engine='bitand' or the SpectralMiner")
+
+
+@pytest.mark.parametrize("max_period", [0, -3])
+@pytest.mark.parametrize("miner", [ConvolutionMiner, SpectralMiner])
+def test_bad_max_period_rejected_at_construction(miner, max_period):
+    with pytest.raises(ValueError, match="max_period must be >= 1"):
+        miner(max_period=max_period)
 
 
 class TestPeriodicityTable:

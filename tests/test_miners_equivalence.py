@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.baselines import brute_force_table
 from repro.core import ENGINES, ConvolutionMiner, SpectralMiner
 
-from conftest import parallel_count_table, series_strategy, witness_table
+from conftest import series_strategy, witness_table
 
 
 @settings(max_examples=80, deadline=None)
@@ -43,13 +43,6 @@ def test_engine_equals_kernel_and_oracle(engine, series, cap):
     kernel = ConvolutionMiner(max_period=cap).periodicity_table(series)
     assert decoded == kernel
     assert kernel == brute_force_table(series, max_period=cap)
-
-
-@settings(max_examples=40, deadline=None)
-@given(series=series_strategy(min_size=2, max_size=40))
-def test_parallel_engine_equals_oracle(series):
-    """The sharded count-only fast path is exact too."""
-    assert parallel_count_table(series, workers=2) == brute_force_table(series)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import MiningResult, SymbolSequence, mine
+from repro.core import (
+    ConvolutionMiner,
+    MiningResult,
+    SpectralMiner,
+    SymbolSequence,
+    mine,
+)
 
 
 class TestMineFacade:
@@ -76,3 +82,20 @@ class TestMineFacade:
         result = mine(paper_series, psi=0.5)
         with pytest.raises(AttributeError):
             result.psi = 0.9
+
+
+@pytest.mark.parametrize("psi", [1.5, 0.0, -1.0])
+@pytest.mark.parametrize("algorithm", ["spectral", "convolution"])
+@pytest.mark.parametrize("prune", [True, False])
+def test_bad_psi_rejected_before_mining(
+    monkeypatch, paper_series, psi, algorithm, prune
+):
+    """mine() checks psi up front, with one message, for every path."""
+
+    def never(self, series):
+        raise AssertionError("mined before checking psi")
+
+    monkeypatch.setattr(ConvolutionMiner, "periodicity_table", never)
+    monkeypatch.setattr(SpectralMiner, "periodicity_table", never)
+    with pytest.raises(ValueError, match=r"psi must be in \(0, 1\], got"):
+        mine(paper_series, psi=psi, algorithm=algorithm, prune=prune)

@@ -29,12 +29,6 @@ class TestMatchCounts:
         counts = SpectralMiner().match_counts(series)
         assert counts.size == 0 or counts.shape[1] == 1
 
-    def test_from_scratch_fft_variant_agrees(self, rng):
-        series = random_series(rng, 64, 4)
-        numpy_counts = SpectralMiner(use_numpy_fft=True).match_counts(series)
-        scratch_counts = SpectralMiner(use_numpy_fft=False).match_counts(series)
-        np.testing.assert_array_equal(numpy_counts, scratch_counts)
-
 
 class TestCandidatePeriodSymbols:
     def test_perfectly_periodic_symbol(self):
