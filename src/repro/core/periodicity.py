@@ -20,28 +20,31 @@ paper reads ``F2(s_k, pi_{p,l})`` off the witness set ``W_{p,k,l}`` of
 one convolution; over the integer codes the same number is the count of
 ``j = l (mod p)`` with ``t_j = t_{j+p} = s_k`` — one comparison of the
 series against its shift by ``p`` plus one ``np.bincount`` keyed by
-``k * p + j mod p``.  :func:`residue_table` turns such a block into the
-``(symbol, position) -> F2`` dict the table stores.
+``k * p + j mod p``.  :func:`residue_table` reads such a block as a
+``(symbol, position) -> F2`` dict.
 
-The module also defines the *dense layout* used by the streaming layer:
+One *layout* serves the miners, the streaming layer and the table:
 every ``(period, symbol, position)`` triple up to a period cap flattened
-into one contiguous array, so evidence can be scatter-added with
-``np.bincount`` instead of nested dict updates.  Period ``p``'s block
-starts at ``dense_offsets(sigma, cap)[p]`` and holds ``sigma * p``
-counters ordered ``code * p + position``;
-:meth:`PeriodicityTable.from_dense` converts such an array back into a
-table in one vectorised pass.
+into one key space.  Period ``p``'s block starts at
+``dense_offsets(sigma, cap)[p]`` and holds ``sigma * p`` counters
+ordered ``code * p + position``, so a kernel block is one contiguous
+slice.  The streaming store counts the whole key space densely, with
+``np.bincount`` scatter-adds; a :class:`PeriodicityTable` keeps only
+the non-zero cells, as an ascending int64 key array beside their int64
+counts, so :meth:`PeriodicityTable.from_dense` is one
+``np.flatnonzero`` and every threshold query is a mask over the two
+arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alphabet import Alphabet
-from .projection import projection_pairs
+from .projection import projection_pairs, projection_pairs_array
 
 __all__ = [
     "SymbolPeriodicity",
@@ -91,13 +94,13 @@ def residue_table(block: np.ndarray) -> dict[tuple[int, int], int]:
     ``block`` is a ``(sigma, period)`` count array such as
     :func:`residue_counts` returns.
     """
-    flat = block.ravel()
-    nonzero = np.flatnonzero(flat)
-    if nonzero.size == 0:
-        return {}
-    period = block.shape[1]
-    keys = zip((nonzero // period).tolist(), (nonzero % period).tolist())
-    return dict(zip(keys, flat[nonzero].tolist()))
+    codes, positions = np.divmod(np.flatnonzero(block), block.shape[1])
+    return dict(zip(zip(codes.tolist(), positions.tolist()), block[codes, positions].tolist()))
+
+
+def _block_starts(sigma: int, periods: np.ndarray | int) -> np.ndarray:
+    """Flat index where each period's block starts in the dense layout."""
+    return np.asarray(sigma * periods * (periods - 1) // 2, dtype=np.int64)
 
 
 def dense_offsets(sigma: int, max_period: int) -> np.ndarray:
@@ -110,8 +113,7 @@ def dense_offsets(sigma: int, max_period: int) -> np.ndarray:
     """
     if sigma < 1 or max_period < 1:
         raise ValueError("sigma and max_period must be >= 1")
-    periods = np.arange(max_period + 1, dtype=np.int64)
-    return sigma * periods * (periods - 1) // 2
+    return _block_starts(sigma, np.arange(max_period + 1, dtype=np.int64))
 
 
 def dense_size(sigma: int, max_period: int) -> int:
@@ -158,6 +160,10 @@ class SymbolPeriodicity:
 class PeriodicityTable:
     """Complete ``F2`` evidence for every candidate period of a series.
 
+    Held as the non-zero cells of the :func:`dense_offsets` layout: an
+    ascending int64 key array, its int64 counts, and where each period's
+    cells begin.
+
     Parameters
     ----------
     n:
@@ -166,7 +172,9 @@ class PeriodicityTable:
         The series alphabet.
     counts:
         Mapping ``period -> {(symbol_code, position): f2}``.  Only
-        non-zero counts need to be present.
+        non-zero counts need to be present.  A period below 1, or a
+        non-zero cell with a negative count or outside ``0 <= symbol_code
+        < sigma``, ``0 <= position < period``, raises ``ValueError``.
     """
 
     def __init__(
@@ -175,12 +183,28 @@ class PeriodicityTable:
         alphabet: Alphabet,
         counts: Mapping[int, Mapping[tuple[int, int], int]],
     ) -> None:
-        self._n = n
+        sigma = len(alphabet)
+        cells = [(p, k, l, v) for p, t in counts.items() for (k, l), v in t.items() if v]
+        if any(p < 1 for p in counts) or not all(
+            0 <= k < sigma and 0 <= l < p and v > 0 for p, k, l, v in cells
+        ):
+            raise ValueError(f"a cell cannot exist over {sigma} symbols, or its count is < 0")
+        p, k, l, v = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+        keys = _block_starts(sigma, p) + k * p + l
+        order = np.argsort(keys)
+        self._set_cells(n, alphabet, keys[order], v[order], int(p.max(initial=0)))
+
+    def _set_cells(
+        self, n: int, alphabet: Alphabet, keys: np.ndarray, counts: np.ndarray, max_period: int
+    ) -> "PeriodicityTable":
+        """Hold ascending ``keys`` and counts; period p's are keys[_bounds[p - 1]:_bounds[p]]."""
+        self._n = int(n)
         self._alphabet = alphabet
-        self._counts: dict[int, dict[tuple[int, int], int]] = {
-            int(p): {k: int(v) for k, v in table.items() if v}
-            for p, table in counts.items()
-        }
+        self._keys = keys
+        self._counts = counts
+        starts = _block_starts(len(alphabet), np.arange(1, max_period + 2))
+        self._bounds = np.searchsorted(keys, starts)
+        return self
 
     @classmethod
     def from_dense(
@@ -193,23 +217,13 @@ class PeriodicityTable:
         """Build a table from a dense flattened count array.
 
         ``dense`` must follow the layout of :func:`dense_offsets` for
-        ``sigma = len(alphabet)`` and the given ``max_period``.  Only
-        non-zero counters are materialised; each period's block is a
-        zero-copy view handed to :meth:`from_blocks`, so snapshots stay
-        cheap even when the dense store is large.
+        ``sigma = len(alphabet)`` and the given ``max_period``; its
+        non-zero counters keep their keys.
         """
-        sigma = len(alphabet)
-        offsets = dense_offsets(sigma, max_period)
-        if dense.shape != (dense_size(sigma, max_period),):
+        if dense.shape != (dense_size(len(alphabet), max_period),):
             raise ValueError("dense array does not match the layout")
-        return cls.from_blocks(
-            n,
-            alphabet,
-            (
-                (p, dense[offsets[p] : offsets[p] + sigma * p].reshape(sigma, p))
-                for p in range(1, max_period + 1)
-            ),
-        )
+        keys = np.flatnonzero(dense)
+        return cls.__new__(cls)._set_cells(n, alphabet, keys, dense[keys], max_period)
 
     @classmethod
     def from_blocks(
@@ -221,20 +235,21 @@ class PeriodicityTable:
         """Build a table from per-period ``(period, block)`` pairs.
 
         Each block is a ``(sigma, period)`` count array such as
-        :func:`residue_counts` returns; only its non-zero entries are
-        materialised (:func:`residue_table`).  Both miners and
-        :meth:`from_dense` build their tables here.
+        :func:`residue_counts` returns, at most one per period; only its
+        non-zero entries are kept.  Both miners build their tables here.
         """
-        counts: dict[int, dict[tuple[int, int], int]] = {}
+        sigma = len(alphabet)
+        parts = [(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
         for p, block in blocks:
-            table_p = residue_table(block)
-            if table_p:
-                counts[p] = table_p
-        table = cls.__new__(cls)
-        table._n = int(n)
-        table._alphabet = alphabet
-        table._counts = counts
-        return table
+            if block.shape != (sigma, p):
+                raise ValueError(f"block of period {p} must have shape ({sigma}, {p})")
+            cells = np.flatnonzero(block)
+            parts.append((int(p), _block_starts(sigma, p) + cells, block.ravel()[cells]))
+        parts.sort(key=lambda part: part[0])
+        if len({part[0] for part in parts}) < len(parts):
+            raise ValueError("a period appears in more than one block")
+        keys, counts = (np.concatenate([part[i] for part in parts]) for i in (1, 2))
+        return cls.__new__(cls)._set_cells(n, alphabet, keys, counts, parts[-1][0])
 
     # -- raw access ----------------------------------------------------------
 
@@ -251,15 +266,37 @@ class PeriodicityTable:
     @property
     def periods(self) -> list[int]:
         """All periods with at least one non-zero ``F2`` count."""
-        return sorted(p for p, t in self._counts.items() if t)
+        return (np.flatnonzero(np.diff(self._bounds)) + 1).tolist()
+
+    def _cells(
+        self, period: int | None = None, floor: float = 0.0, min_pairs: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(periods, codes, positions, counts)`` of all cells or one period's.
+
+        A cell whose count is below ``floor`` times the fewest pairs of any
+        position of its period (and ``min_pairs``) cannot reach support
+        ``floor``; it is skipped before decoding.
+        """
+        first, last = (1, self._bounds.size - 1) if period is None else (period, period)
+        span = np.arange(max(first, 1), min(last, self._bounds.size - 1) + 1)
+        sizes = np.diff(self._bounds)[span - 1]
+        lo = self._bounds[span[0] - 1] if span.size else 0
+        fewest = np.maximum(projection_pairs_array(self._n, span, span - 1), min_pairs)
+        counts = self._counts[lo : lo + sizes.sum()]
+        keep = lo + np.flatnonzero(counts >= np.repeat(floor * fewest, sizes))
+        periods = np.searchsorted(self._bounds, keep, side="right")
+        relative = self._keys[keep] - _block_starts(len(self._alphabet), periods)
+        codes, positions = np.divmod(relative, periods)
+        return periods, codes, positions, self._counts[keep]
 
     def f2(self, period: int, symbol_code: int, position: int) -> int:
         """``F2(s_k, pi_{p,l}(T))`` — zero when not recorded."""
-        return self._counts.get(period, {}).get((symbol_code, position), 0)
+        return self.counts_for(period).get((symbol_code, position), 0)
 
     def counts_for(self, period: int) -> dict[tuple[int, int], int]:
         """The ``(symbol_code, position) -> F2`` table of one period."""
-        return dict(self._counts.get(period, {}))
+        _, codes, positions, counts = self._cells(period)
+        return dict(zip(zip(codes.tolist(), positions.tolist()), counts.tolist()))
 
     def support(self, period: int, symbol_code: int, position: int) -> float:
         """Support of the single-symbol pattern ``(s_k, p, l)``."""
@@ -269,6 +306,17 @@ class PeriodicityTable:
         return self.f2(period, symbol_code, position) / pairs
 
     # -- threshold queries -----------------------------------------------------
+
+    def _hits(self, psi: float, period: int | None, min_pairs: int) -> np.ndarray:
+        """Rows ``period, position, code, f2, pairs``: a column per periodic cell."""
+        if not 0 < psi <= 1:
+            raise ValueError("the periodicity threshold must be in (0, 1]")
+        if min_pairs < 1:
+            raise ValueError("min_pairs must be >= 1")
+        periods, codes, positions, counts = self._cells(period, psi, min_pairs)
+        pairs = projection_pairs_array(self._n, periods, positions)
+        hit = (pairs >= min_pairs) & (counts >= psi * pairs)
+        return np.stack([column[hit] for column in (periods, positions, codes, counts, pairs)])
 
     def periodicities(
         self, psi: float, period: int | None = None, min_pairs: int = 1
@@ -281,27 +329,14 @@ class PeriodicityTable:
         has fewer adjacent pairs — raising it suppresses the trivial
         certainty of near-``n/2`` periods whose support denominator is 1.
         """
-        if not 0 < psi <= 1:
-            raise ValueError("the periodicity threshold must be in (0, 1]")
-        if min_pairs < 1:
-            raise ValueError("min_pairs must be >= 1")
-        hits: list[SymbolPeriodicity] = []
-        items: Iterator[tuple[int, dict[tuple[int, int], int]]]
-        if period is None:
-            items = iter(sorted(self._counts.items()))
-        else:
-            items = iter([(period, self._counts.get(period, {}))])
-        for p, table in items:
-            for (k, l), count in table.items():
-                pairs = projection_pairs(self._n, p, l)
-                if pairs >= min_pairs and count >= psi * pairs:
-                    hits.append(SymbolPeriodicity(p, l, k, count, pairs))
-        hits.sort(key=lambda h: (h.period, h.position, h.symbol_code))
-        return hits
+        hits = self._hits(psi, period, min_pairs)
+        # lexsort's last key is the primary one: period, position, code.
+        order = np.lexsort(hits[2::-1])
+        return [SymbolPeriodicity(*cell) for cell in hits[:, order].T.tolist()]
 
     def candidate_periods(self, psi: float, min_pairs: int = 1) -> list[int]:
         """Periods at which at least one symbol is periodic w.r.t. ``psi``."""
-        return sorted({h.period for h in self.periodicities(psi, min_pairs=min_pairs)})
+        return np.unique(self._hits(psi, None, min_pairs)[0]).tolist()
 
     def confidence(self, period: int) -> float:
         """Maximum support of any symbol/position at ``period``.
@@ -310,44 +345,19 @@ class PeriodicityTable:
         (Sect. 4.1): the minimum periodicity threshold value at which the
         period would still be detected.
         """
-        table = self._counts.get(period)
-        if not table:
-            return 0.0
-        best = 0.0
-        for (k, l), count in table.items():
-            pairs = projection_pairs(self._n, period, l)
-            if pairs > 0:
-                best = max(best, count / pairs)
-        return best
-
-    def merged_with(self, other: "PeriodicityTable") -> "PeriodicityTable":
-        """Sum the ``F2`` evidence of two tables over the same alphabet.
-
-        Used by the streaming layer to combine per-block tables.  The
-        resulting ``n`` is the sum of the two lengths, which matches
-        concatenation only approximately at the block seam (the seam
-        pairs are accounted for separately by the online miner).
-        """
-        if other.alphabet != self._alphabet:
-            raise ValueError("cannot merge tables over different alphabets")
-        merged: dict[int, dict[tuple[int, int], int]] = {
-            p: dict(t) for p, t in self._counts.items()
-        }
-        for p, table in other._counts.items():
-            dst = merged.setdefault(p, {})
-            for key, v in table.items():
-                dst[key] = dst.get(key, 0) + v
-        return PeriodicityTable(self._n + other.n, self._alphabet, merged)
+        periods, _, positions, counts = self._cells(period)
+        pairs = projection_pairs_array(self._n, periods, positions)
+        valid = pairs > 0
+        return float((counts[valid] / pairs[valid]).max()) if valid.any() else 0.0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicityTable):
             return NotImplemented
-        mine = {p: t for p, t in self._counts.items() if t}
-        theirs = {p: t for p, t in other._counts.items() if t}
         return (
             self._n == other._n
             and self._alphabet == other._alphabet
-            and mine == theirs
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self._counts, other._counts)
         )
 
     def __repr__(self) -> str:

@@ -29,6 +29,7 @@ __all__ = [
     "projection",
     "projection_length",
     "projection_pairs",
+    "projection_pairs_array",
     "f2",
     "f2_projection",
     "f2_table_for_period",
@@ -47,6 +48,11 @@ def projection_length(n: int, p: int, l: int) -> int:
 def projection_pairs(n: int, p: int, l: int) -> int:
     """Number of adjacent pairs in ``pi_{p,l}`` — the support denominator."""
     return max(projection_length(n, p, l) - 1, 0)
+
+
+def projection_pairs_array(n: int, periods: np.ndarray | int, positions: np.ndarray) -> np.ndarray:
+    """:func:`projection_pairs` over broadcast arrays with ``0 <= l < p``."""
+    return np.maximum(-((positions - n) // periods) - 1, 0)
 
 
 def projection(series: SymbolSequence, p: int, l: int) -> SymbolSequence:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .alphabet import Alphabet
-from .candidates import mine_patterns, single_symbol_patterns
+from .candidates import mine_patterns
 from .convolution_miner import ConvolutionMiner
 from .patterns import PeriodicPattern
 from .periodicity import PeriodicityTable, SymbolPeriodicity
@@ -122,7 +122,8 @@ def mine(
         A :class:`PeriodicityTable` already mined from ``series`` —
         skips the mining pass entirely and re-derives periodicities and
         patterns from it (how the pipeline reuses its stage-1 scouting
-        evidence instead of mining the series twice).
+        evidence instead of mining the series twice).  A table whose
+        length or alphabet differs from ``series`` raises ``ValueError``.
 
     Examples
     --------
@@ -134,7 +135,8 @@ def mine(
     if not 0 < psi <= 1:
         raise ValueError(f"psi must be in (0, 1], got {psi!r}")
     if table is not None:
-        pass
+        if table.n != series.length or table.alphabet != series.alphabet:
+            raise ValueError("table was mined from another series (n or alphabet differs)")
     elif algorithm == "spectral":
         miner = SpectralMiner(psi=psi if prune else None, max_period=max_period)
         table = miner.periodicity_table(series)
@@ -142,8 +144,12 @@ def mine(
         table = ConvolutionMiner(max_period=max_period).periodicity_table(series)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    # One threshold scan also yields the single patterns and searched periods.
     periodicities = tuple(table.periodicities(psi))
-    singles = tuple(single_symbol_patterns(table, psi))
+    singles = tuple(PeriodicPattern.single(h.period, h.position, h.symbol_code, h.support)
+                    for h in periodicities)
+    if periods is None:
+        periods = sorted({h.period for h in periodicities})
     patterns = tuple(
         mine_patterns(series, table, psi, periods=periods, max_arity=max_arity)
     )

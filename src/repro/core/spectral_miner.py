@@ -116,11 +116,8 @@ class SpectralMiner:
         if not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1]")
         n = series.length
-        max_period = resolve_max_period(self._max_period, n)
-        if max_period < 1:
-            return []
         counts = self.match_counts(series)
-        eligible = counts >= psi * _min_pairs(n, np.arange(max_period + 1))[None, :]
+        eligible = counts >= psi * _min_pairs(n, np.arange(counts.shape[1]))[None, :]
         eligible[:, 0] = False
         ks, ps = np.nonzero(eligible)
         return sorted((int(p), int(k)) for k, p in zip(ks, ps))
@@ -129,9 +126,6 @@ class SpectralMiner:
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
         """Mine the ``F2`` evidence table (pruned only if ``psi`` is set)."""
-        max_period = resolve_max_period(self._max_period, series.length)
-        if max_period < 1:
-            return PeriodicityTable(series.length, series.alphabet, {})
         return self._residue_stage(series, self.match_counts(series))
 
     def periodicity_table_out_of_core(
@@ -148,8 +142,6 @@ class SpectralMiner:
         """
         series = series_for_residues
         max_period = resolve_max_period(self._max_period, series.length)
-        if max_period < 1:
-            return PeriodicityTable(series.length, series.alphabet, {})
         match_counts = blocked_match_counts(code_blocks, series.sigma, max_period)
         return self._residue_stage(series, match_counts)
 

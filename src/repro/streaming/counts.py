@@ -14,10 +14,10 @@ history-extended chunk, and the resulting keys are scatter-added into a
 kernel: compare each evicted symbol against its ``max_period``
 successors and scatter-subtract.
 
-Memory is ``sigma * max_period * (max_period + 1) / 2`` counters —
-dense, unlike the sparse dicts it replaces — which buys branch-free
-scatter updates and ``O(sigma * p)`` live confidence reads.  At
-``sigma=8, max_period=128`` that is ~0.5 MB.
+Memory is ``sigma * max_period * (max_period + 1) / 2`` counters — the
+key space a ``PeriodicityTable`` keeps sparsely, held dense — which buys
+branch-free scatter updates, ``O(sigma * p)`` live confidence reads and
+one-``flatnonzero`` snapshots.  At ``sigma=8, max_period=128``: ~0.5 MB.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, dense_offsets, dense_size
+from ..core.projection import projection_pairs_array
 
 __all__ = ["DenseCountStore"]
 
@@ -181,14 +182,11 @@ class DenseCountStore:
         window starts at ``shift`` mod ``p``).  Reads the live counters
         directly — no snapshot, no dict copies.
         """
-        block = self.period_block(period)
-        best_per_position = block.max(axis=0)
+        best_per_position = self.period_block(period).max(axis=0)
         positions = (np.arange(period, dtype=np.int64) - shift) % period
-        pairs = _projection_pairs_vector(n, period, positions)
+        pairs = projection_pairs_array(n, period, positions)
         valid = pairs > 0
-        if not bool(np.any(valid)):
-            return 0.0
-        return float((best_per_position[valid] / pairs[valid]).max())
+        return float((best_per_position[valid] / pairs[valid]).max()) if valid.any() else 0.0
 
     def table(
         self, n: int, alphabet: Alphabet, start: int = 0
@@ -200,28 +198,16 @@ class DenseCountStore:
         it (Definition 1's ``l``), which is the identity for the online
         miner (``start == 0``).
         """
-        dense = self._counts
-        if start:
-            dense = self._rotated(start)
-        return PeriodicityTable.from_dense(n, alphabet, dense, self._max_period)
-
-    def _rotated(self, start: int) -> np.ndarray:
-        """Copy with every period block rolled to ``start``-relative positions."""
-        rotated = self._counts.copy()
-        for period in range(1, self._max_period + 1):
-            shift = start % period
-            if not shift:
-                continue
-            begin = int(self._offsets[period])
-            block = self._counts[begin : begin + self._sigma * period]
-            rolled = np.roll(block.reshape(self._sigma, period), -shift, axis=1)
-            rotated[begin : begin + self._sigma * period] = rolled.ravel()
-        return rotated
-
-
-def _projection_pairs_vector(n: int, period: int, positions: np.ndarray) -> np.ndarray:
-    """Vectorised ``projection_pairs(n, period, l)`` over many ``l``."""
-    lengths = np.where(
-        positions < n, -((positions - n) // period), 0
-    )
-    return np.maximum(lengths - 1, 0)
+        if not start:
+            return PeriodicityTable.from_dense(n, alphabet, self._counts, self._max_period)
+        keys = np.flatnonzero(self._counts)
+        counts = self._counts[keys]
+        sizes = np.diff(np.searchsorted(keys, self._offsets[1:]), append=keys.size)
+        periods = np.repeat(np.arange(1, self._max_period + 1), sizes)
+        residues = (keys - self._offsets[periods]) % periods
+        keys += (residues - start) % periods - residues
+        del periods, residues  # keep the snapshot's transient memory small
+        order = np.argsort(keys, kind="stable")  # each row is two ascending runs
+        return PeriodicityTable.__new__(PeriodicityTable)._set_cells(
+            n, alphabet, keys[order], counts[order], self._max_period
+        )

@@ -109,20 +109,42 @@ class TestTableQueries:
         assert t.periods == []
 
 
-class TestTableMerge:
-    def test_merge_sums_counts(self, abc):
-        left = PeriodicityTable(6, abc, {2: {(0, 0): 2}})
-        right = PeriodicityTable(4, abc, {2: {(0, 0): 1, (1, 1): 1}})
-        merged = left.merged_with(right)
-        assert merged.n == 10
-        assert merged.f2(2, 0, 0) == 3
-        assert merged.f2(2, 1, 1) == 1
-
-    def test_merge_rejects_other_alphabets(self, abc):
-        left = PeriodicityTable(6, abc, {})
-        right = PeriodicityTable(4, Alphabet("xy"), {})
+class TestImpossibleCells:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {3: {(0, 5): 2}},  # position not below the period
+            {3: {(0, -1): 2}},  # negative position
+            {3: {(3, 0): 2}},  # symbol code outside the alphabet
+            {3: {(-1, 0): 2}},
+            {0: {(0, 0): 2}},  # period below 1
+            {-2: {}},
+            {3: {(0, 0): -1}},  # negative count
+        ],
+    )
+    def test_constructor_rejects(self, abc, counts):
         with pytest.raises(ValueError):
-            left.merged_with(right)
+            PeriodicityTable(10, abc, counts)
+
+    def test_from_blocks_rejects_misshapen_or_repeated_blocks(self, abc):
+        good = np.ones((3, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            PeriodicityTable.from_blocks(10, abc, [(3, good)])
+        with pytest.raises(ValueError):
+            PeriodicityTable.from_blocks(10, abc, [(2, good), (2, good)])
+
+    @pytest.mark.parametrize(
+        "period, code, position",
+        [(3, 0, 3), (3, 0, -1), (3, 3, 0), (3, -1, 1), (0, 0, 0), (-3, 0, 0), (99, 0, 0)],
+    )
+    def test_out_of_range_reads_are_empty(self, table, period, code, position):
+        # (3, 0, 3) would alias (3, 1, 0) and (3, -1, 1) would alias
+        # (2, ...) in the flat layout; neither may be read.
+        assert table.f2(period, code, position) == 0
+        if not 1 <= period <= 4:
+            assert table.counts_for(period) == {}
+            assert table.confidence(period) == 0.0
+            assert table.periodicities(0.1, period=period) == []
 
 
 class TestTableEquality:

@@ -14,6 +14,7 @@ from repro.core import (
     projection_length,
     projection_pairs,
 )
+from repro.core.projection import projection_pairs_array
 
 from conftest import series_strategy
 
@@ -57,6 +58,16 @@ class TestProjection:
         assert projection_pairs(10, 3, 0) == 3
         assert projection_pairs(10, 3, 1) == 2
         assert projection_pairs(2, 5, 1) == 0
+
+    def test_pairs_array_matches_scalar(self):
+        grid = [(n, p, l) for n in range(0, 13) for p in range(1, 15) for l in range(p)]
+        n, p, l = (np.array(column) for column in zip(*grid))
+        for size in range(0, 13):
+            on_grid = n == size
+            got = projection_pairs_array(size, p[on_grid], l[on_grid])
+            want = [projection_pairs(size, pi, li) for pi, li in zip(p[on_grid], l[on_grid])]
+            assert got.tolist() == want
+        assert any(li >= ni for ni, li in zip(n, l))  # the grid covers l >= n
 
 
 class TestF2:

@@ -21,6 +21,7 @@ from repro.core import (
     segment_match_matrix,
     segment_supports,
 )
+from repro.core.projection import projection_pairs
 from repro.streaming import OnlineMiner, SlidingWindowMiner
 
 from conftest import series_strategy
@@ -120,33 +121,35 @@ def test_tiling_makes_length_a_perfect_period(series, repeats):
 
 
 @settings(max_examples=25, deadline=None)
-@given(series=series_strategy(min_size=4, max_size=30))
-def test_table_merge_equals_counts_addition(series):
-    """Merging a table with itself doubles every count."""
-    table = ConvolutionMiner().periodicity_table(series)
-    merged = table.merged_with(table)
-    assert merged.n == 2 * table.n
-    for p in table.periods:
-        for key, value in table.counts_for(p).items():
-            assert merged.counts_for(p)[key] == 2 * value
-
-
-@settings(max_examples=25, deadline=None)
-@given(series=series_strategy(min_size=4, max_size=36))
-def test_periodicities_are_exactly_the_thresholded_table(series):
+@given(
+    series=series_strategy(min_size=4, max_size=36),
+    psi=st.floats(0.05, 1.0),
+    min_pairs=st.integers(1, 4),
+)
+def test_periodicities_are_exactly_the_thresholded_table(series, psi, min_pairs):
     """periodicities(psi) is precisely the set of table cells whose
-    support clears psi — no more, no fewer."""
+    support clears psi — no more, no fewer — in (period, position,
+    symbol) order, and candidate_periods and confidence agree with the
+    same per-cell loop."""
     table = brute_force_table(series)
-    psi = 0.5
-    reported = {
-        (h.period, h.position, h.symbol_code) for h in table.periodicities(psi)
-    }
+    reported = [
+        (h.period, h.position, h.symbol_code)
+        for h in table.periodicities(psi, min_pairs=min_pairs)
+    ]
     expected = set()
+    best = {}
     for p in table.periods:
-        for (k, l), _ in table.counts_for(p).items():
-            if table.support(p, k, l) >= psi:
+        for (k, l), f2 in table.counts_for(p).items():
+            # Definition 1 as F2 >= psi * pairs: dividing first can round
+            # the other way when psi sits one ulp from F2 / pairs.
+            pairs = projection_pairs(table.n, p, l)
+            if pairs >= min_pairs and f2 >= psi * pairs:
                 expected.add((p, l, k))
-    assert reported == expected
+            best[p] = max(best.get(p, 0.0), table.support(p, k, l))
+    assert reported == sorted(expected)
+    assert table.candidate_periods(psi, min_pairs) == sorted({p for p, _, _ in expected})
+    for p in range(series.length + 1):
+        assert table.confidence(p) == pytest.approx(best.get(p, 0.0))
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import (
+    Alphabet,
     ConvolutionMiner,
     MiningResult,
+    PeriodicityTable,
     SpectralMiner,
     SymbolSequence,
     mine,
@@ -99,3 +101,32 @@ def test_bad_psi_rejected_before_mining(
     monkeypatch.setattr(SpectralMiner, "periodicity_table", never)
     with pytest.raises(ValueError, match=r"psi must be in \(0, 1\], got"):
         mine(paper_series, psi=psi, algorithm=algorithm, prune=prune)
+
+
+@pytest.mark.parametrize("algorithm", ["spectral", "convolution"])
+@pytest.mark.parametrize("periods", [None, [3]])
+def test_mine_scans_the_table_once(monkeypatch, paper_series, algorithm, periods):
+    """Periodicities, single patterns and the searched periods all come
+    from one full threshold scan; pattern search reads single periods."""
+    scans = []
+    original = PeriodicityTable.periodicities
+
+    def spy(self, psi, period=None, min_pairs=1):
+        scans.append(period)
+        return original(self, psi, period, min_pairs)
+
+    monkeypatch.setattr(PeriodicityTable, "periodicities", spy)
+    result = mine(paper_series, psi=0.5, algorithm=algorithm, periods=periods)
+    assert scans.count(None) == 1
+    assert result.single_patterns
+    assert {p.period for p in result.patterns} <= set(periods or result.candidate_periods)
+
+
+def test_table_from_another_series_rejected(paper_series):
+    table = mine(paper_series, psi=0.5).table
+    longer = SymbolSequence.from_string("abcabbabcbab")
+    relabelled = SymbolSequence.from_codes(paper_series.codes, Alphabet("xyz"))
+    for other in (longer, relabelled):
+        with pytest.raises(ValueError, match="another series"):
+            mine(other, psi=0.5, table=table)
+    assert mine(paper_series, psi=0.5, table=table).table is table
