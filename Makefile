@@ -30,12 +30,12 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Streaming-layer trajectory: chunked vs per-symbol ingestion for the
-# online and sliding-window miners, written to BENCH_PR3.json.
+# streaming miner with and without a window, written to BENCH_PR3.json.
 bench-stream:
 	PYTHONPATH=src python benchmarks/bench_streaming_regress.py --out BENCH_PR3.json
 
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done
+	for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src python $$ex || exit 1; done
 
 experiments:
 	repro experiment all --quick --report experiment_report.md

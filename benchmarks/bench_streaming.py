@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
-from repro.streaming import ChunkedReader, OnlineMiner, SlidingWindowMiner
+from repro.streaming import ChunkedReader, SlidingWindowMiner
 
 N = 20_000
 SIGMA = 8
@@ -32,7 +32,7 @@ def series(codes):
 @pytest.mark.benchmark(group="streaming")
 def test_online_miner_throughput(benchmark, codes, series):
     def run():
-        miner = OnlineMiner(series.alphabet, max_period=MAX_PERIOD)
+        miner = SlidingWindowMiner(series.alphabet, max_period=MAX_PERIOD)
         miner.extend_codes(codes)
         return miner
 

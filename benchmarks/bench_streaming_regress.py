@@ -5,9 +5,9 @@ Standalone (not pytest-benchmark) so CI can run it via
 
     PYTHONPATH=src python benchmarks/bench_streaming_regress.py --out BENCH_PR3.json
 
-Times the chunked ingestion path of :class:`OnlineMiner` and
-:class:`SlidingWindowMiner` against a faithful replica of the pre-PR
-per-symbol update loop (the ``O(max_period)`` numpy gather plus
+Times the chunked ingestion path of :class:`SlidingWindowMiner`, without
+a window ("online") and with one ("window"), against a faithful replica
+of the old per-symbol update loop (the ``O(max_period)`` numpy gather plus
 per-match dict bumps that used to live in ``append_code``), on the
 ``bench_streaming.py`` configuration (n=20k, sigma=8, max_period=128),
 and emits a JSON trajectory file with the per-miner speedups.  Before
@@ -34,7 +34,7 @@ from _bench_utils import record
 from repro.core import Alphabet, SymbolSequence
 from repro.core.periodicity import PeriodicityTable
 from repro.core.spectral_miner import SpectralMiner
-from repro.streaming import OnlineMiner, SlidingWindowMiner
+from repro.streaming import SlidingWindowMiner
 
 
 class BaselineOnline:
@@ -152,7 +152,7 @@ def run(args: argparse.Namespace) -> dict:
     spectral = SpectralMiner(max_period=args.max_period)
 
     # -- correctness gates first ------------------------------------------------
-    online = OnlineMiner(alphabet, max_period=args.max_period)
+    online = SlidingWindowMiner(alphabet, max_period=args.max_period)
     online.extend_codes(codes)
     batch = spectral.periodicity_table(series)
     if online.table() != batch:
@@ -168,7 +168,7 @@ def run(args: argparse.Namespace) -> dict:
 
     baseline_online = BaselineOnline(alphabet, args.max_period)
     baseline_online.extend_codes(codes[: min(args.n, 2_000)])
-    check = OnlineMiner(alphabet, max_period=args.max_period)
+    check = SlidingWindowMiner(alphabet, max_period=args.max_period)
     check.extend_codes(codes[: min(args.n, 2_000)])
     if baseline_online.table() != check.table():
         raise SystemExit("baseline replica drifted from the real miner")
@@ -183,9 +183,9 @@ def run(args: argparse.Namespace) -> dict:
         (
             "online",
             "chunked",
-            lambda: OnlineMiner(alphabet, max_period=args.max_period).extend_codes(
-                codes
-            ),
+            lambda: SlidingWindowMiner(
+                alphabet, max_period=args.max_period
+            ).extend_codes(codes),
         ),
         (
             "window",

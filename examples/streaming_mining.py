@@ -6,10 +6,11 @@ Two one-pass modes beyond plain batch mining:
   :class:`ChunkedReader` streams it block by block through the blocked
   correlation kernel (the paper's "external FFT" remark), producing the
   same evidence table as in-memory mining;
-* **online** — symbols arrive one at a time; an :class:`OnlineMiner`
-  maintains the evidence incrementally, so periodicities can be watched
-  as they strengthen (the paper's data-stream motivation, and the
-  incremental extension of its reference [4]).
+* **online** — symbols arrive over time; a :class:`SlidingWindowMiner`
+  without a window maintains the evidence of the whole stream
+  incrementally, so periodicities can be watched as they strengthen
+  (the paper's data-stream motivation, and the incremental extension of
+  its reference [4]).
 
 Run:  python examples/streaming_mining.py
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import OnlineMiner, SpectralMiner
+from repro import SlidingWindowMiner, SpectralMiner
 from repro.data import generate_periodic, apply_noise
 from repro.streaming import ChunkedReader, write_symbol_file
 
@@ -46,7 +47,7 @@ def main() -> None:
         print(f"identical to in-memory mining: {table == in_memory}")
 
     # --- online: watch the evidence build up as symbols arrive ---------
-    online = OnlineMiner(series.alphabet, max_period=64)
+    online = SlidingWindowMiner(series.alphabet, max_period=64)
     checkpoints = (500, 2_000, 10_000, 30_000)
     position = 0
     print("\nonline mining (confidence at the true period 48 over time):")

@@ -25,7 +25,7 @@ Sub-packages:
   Han-style partial miner, brute-force oracle;
 * :mod:`repro.data` — synthetic generator, noise models, discretizers,
   CIMEG/Wal-Mart-like simulators;
-* :mod:`repro.streaming` — chunked readers and the online miner;
+* :mod:`repro.streaming` — chunked readers and the streaming miner;
 * :mod:`repro.analysis` — confidence and timing harnesses;
 * :mod:`repro.experiments` — one module per paper table/figure.
 """
@@ -45,7 +45,7 @@ from .core import (
     mine,
     mine_patterns,
 )
-from .streaming import ChunkedReader, OnlineMiner
+from .streaming import ChunkedReader, SlidingWindowMiner
 from .pipeline import PeriodicityPipeline, PipelineReport
 
 __version__ = "1.0.0"
@@ -65,7 +65,7 @@ __all__ = [
     "mine",
     "mine_patterns",
     "ChunkedReader",
-    "OnlineMiner",
+    "SlidingWindowMiner",
     "PeriodicityPipeline",
     "PipelineReport",
     "__version__",

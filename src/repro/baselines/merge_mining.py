@@ -19,8 +19,8 @@ and its count belongs to neither chunk.  ``merge_mine`` enforces this
 and the test suite pins merge-vs-monolithic equality.
 
 (The EDBT paper's own F2 semantics has its online counterpart in
-:class:`repro.streaming.online.OnlineMiner`; merge mining is the batch
-sibling for distributed or archived chunks.)
+:class:`repro.streaming.window.SlidingWindowMiner`; merge mining is the
+batch sibling for distributed or archived chunks.)
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Installed as the ``repro`` console script (also ``python -m repro``):
   from a one-character-per-symbol text file;
 * ``repro periods SERIES.txt --psi 0.5 [--significant]`` — list the
   candidate periods (optionally filtered by the binomial null test);
-* ``repro stream SERIES.txt --psi 0.6 [--window W] [--chunk-size C]`` —
-  mine through the chunked streaming layer (online or sliding-window);
+* ``repro stream SERIES.txt --psi 0.6 [--window W]`` — mine through the
+  chunked streaming layer (whole stream or sliding window);
 * ``repro generate {synthetic,power,retail,eventlog} --out FILE`` —
   write workload files with the paper's generators;
 * ``repro experiment {fig3,fig4,fig5,fig6,table1,table2,table3}`` —
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
 from typing import NoReturn
 
@@ -49,15 +50,23 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer ``>= 1``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type factory: an integer ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is not >= {minimum}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_count = _int_at_least(0)
 
 
 def _period_list(text: str) -> list[int]:
@@ -91,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine_cmd.add_argument("--periods", type=_period_list, default=None,
                           help="comma-separated periods to mine patterns at")
     mine_cmd.add_argument("--max-arity", type=_positive_int, default=None)
-    mine_cmd.add_argument("--top", type=int, default=20,
+    mine_cmd.add_argument("--top", type=_count, default=20,
                           help="patterns to print (by support)")
 
     periods_cmd = commands.add_parser(
@@ -100,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     periods_cmd.add_argument("series", type=Path)
     periods_cmd.add_argument("--psi", type=_threshold, required=True)
     periods_cmd.add_argument("--alphabet", default=None)
-    periods_cmd.add_argument("--max-period", type=int, default=None)
-    periods_cmd.add_argument("--min-pairs", type=int, default=1)
+    periods_cmd.add_argument("--max-period", type=_positive_int, default=None)
+    periods_cmd.add_argument("--min-pairs", type=_positive_int, default=1)
     periods_cmd.add_argument("--significant", action="store_true",
                              help="keep only binomially significant periods")
     periods_cmd.add_argument("--alpha", type=float, default=1e-3)
@@ -145,25 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
                             help="symbol order; when given, the file is "
                                  "streamed block-by-block without ever "
                                  "loading it whole")
-    stream_cmd.add_argument("--max-period", type=int, default=128,
+    stream_cmd.add_argument("--max-period", type=_positive_int, default=128,
                             help="largest period maintained (default 128)")
-    stream_cmd.add_argument("--window", type=int, default=None,
-                            help="sliding-window length; omit for "
-                                 "whole-stream online mining")
-    stream_cmd.add_argument("--chunk-size", type=int, default=None,
-                            help="ingestion block size (default: the "
-                                 "miners' built-in chunk size)")
-    stream_cmd.add_argument("--top", type=int, default=20,
+    stream_cmd.add_argument("--window", type=_positive_int, default=None,
+                            help="sliding-window length, larger than "
+                                 "--max-period; omit to mine the whole stream")
+    stream_cmd.add_argument("--top", type=_count, default=20,
                             help="periodicities to print (by support)")
 
     forecast_cmd = commands.add_parser(
         "forecast", help="predict upcoming symbols from mined periodicity"
     )
     forecast_cmd.add_argument("series", type=Path)
-    forecast_cmd.add_argument("--horizon", type=int, required=True)
-    forecast_cmd.add_argument("--period", type=int, default=None,
+    forecast_cmd.add_argument("--horizon", type=_positive_int, required=True)
+    forecast_cmd.add_argument("--period", type=_positive_int, default=None,
                               help="condition on this period (default: discover)")
-    forecast_cmd.add_argument("--max-period", type=int, default=None)
+    forecast_cmd.add_argument("--max-period", type=_positive_int, default=None)
     forecast_cmd.add_argument("--alphabet", default=None)
     forecast_cmd.add_argument("--evaluate", action="store_true",
                               help="hold out the horizon and report accuracy")
@@ -267,41 +273,27 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .streaming import DEFAULT_CHUNK_SIZE, ChunkedReader, OnlineMiner, SlidingWindowMiner
+    from .streaming import ChunkedReader, SlidingWindowMiner
+    from .streaming.window import INGEST_BLOCK
 
-    chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        _fail("--chunk-size must be positive")
+    if args.window is not None and args.window <= args.max_period:
+        _fail(f"--window {args.window} must exceed --max-period {args.max_period}")
     if args.alphabet:
         # True one-pass mode: never hold more than a block in memory.
         alphabet = Alphabet(args.alphabet)
         reader = ChunkedReader(args.series, alphabet=alphabet,
-                               block_size=chunk_size)
+                               block_size=INGEST_BLOCK)
     else:
         series = _load_series(args.series, None)
         alphabet = series.alphabet
-        reader = ChunkedReader(series, block_size=chunk_size)
-    if args.window is not None:
-        miner: OnlineMiner | SlidingWindowMiner = SlidingWindowMiner(
-            alphabet, max_period=args.max_period, window=args.window,
-            chunk_size=chunk_size,
-        )
-    else:
-        miner = OnlineMiner(
-            alphabet, max_period=args.max_period, chunk_size=chunk_size
-        )
+        reader = ChunkedReader(series, block_size=INGEST_BLOCK)
+    miner = SlidingWindowMiner(alphabet, max_period=args.max_period, window=args.window)
     try:
         fed = reader.feed_into(miner)
     except KeyError as error:
         _fail(f"symbol {error} not in the given alphabet")
-    scope = (
-        f"window of last {miner.size}" if isinstance(miner, SlidingWindowMiner)
-        else "whole stream"
-    )
-    print(
-        f"streamed {fed} symbols (sigma={len(alphabet)}, "
-        f"chunk={chunk_size}); evidence over the {scope}"
-    )
+    scope = "whole stream" if args.window is None else f"window of last {miner.size}"
+    print(f"streamed {fed} symbols (sigma={len(alphabet)}); evidence over the {scope}")
     hits = miner.periodicities(args.psi)
     hits.sort(key=lambda h: -h.support)
     print(f"periodicities at psi={args.psi:.2f}: {len(hits)}")

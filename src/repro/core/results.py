@@ -32,9 +32,10 @@ class MiningResult:
     psi:
         The periodicity threshold the run used.
     table:
-        The full ``F2`` evidence table (inspect for other thresholds —
-        lower thresholds need a re-mine only if the spectral pruning was
-        enabled above them).
+        The ``F2`` evidence table.  With ``algorithm="convolution"`` it
+        holds every cell and answers any threshold; the spectral miner
+        drops the evidence that cannot reach ``psi``, so its table only
+        answers thresholds ``>= psi``.
     periodicities:
         Symbol periodicities meeting ``psi`` (Definition 1).
     single_patterns:
@@ -92,7 +93,6 @@ def mine(
     max_period: int | None = None,
     periods: list[int] | None = None,
     max_arity: int | None = None,
-    prune: bool = True,
     table: PeriodicityTable | None = None,
 ) -> MiningResult:
     """Mine all obscure periodic patterns of a series.
@@ -113,11 +113,6 @@ def mine(
         covers all periods up to ``max_period``).
     max_arity:
         Cap on fixed positions per pattern (at least 1).
-    prune:
-        Let the spectral miner drop evidence that cannot reach ``psi``
-        (saves time; the returned table then only supports thresholds
-        ``>= psi``).  Ignored by the convolution algorithm, which is
-        always exact.
     table:
         A :class:`PeriodicityTable` already mined from ``series`` —
         skips the mining pass entirely and re-derives periodicities and
@@ -138,8 +133,7 @@ def mine(
         if table.n != series.length or table.alphabet != series.alphabet:
             raise ValueError("table was mined from another series (n or alphabet differs)")
     elif algorithm == "spectral":
-        miner = SpectralMiner(psi=psi if prune else None, max_period=max_period)
-        table = miner.periodicity_table(series)
+        table = SpectralMiner(psi=psi, max_period=max_period).periodicity_table(series)
     elif algorithm == "convolution":
         table = ConvolutionMiner(max_period=max_period).periodicity_table(series)
     else:

@@ -3,16 +3,15 @@
 * :class:`ChunkedReader` — block-wise, single-pass access to series on
   disk or in memory (:meth:`~ChunkedReader.feed_into` pipes blocks
   straight into any miner);
-* :class:`OnlineMiner` — incremental evidence over the whole stream;
-* :class:`SlidingWindowMiner` — incremental evidence over the last
-  ``window`` symbols (monitoring mode);
+* :class:`SlidingWindowMiner` — incremental evidence over the whole
+  stream (``window=None``) or its last ``window`` symbols (monitoring
+  mode);
 * :class:`DenseCountStore` — the flat scatter-add evidence store behind
-  both miners' vectorised chunked ingestion.
+  the miner's vectorised block ingestion.
 """
 
 from .counts import DenseCountStore
 from .reader import ChunkedReader, CodeSink, write_symbol_file
-from .online import DEFAULT_CHUNK_SIZE, OnlineMiner
 from .window import SlidingWindowMiner
 from .monitor import DriftEvent, PeriodicityMonitor
 
@@ -20,9 +19,7 @@ __all__ = [
     "ChunkedReader",
     "CodeSink",
     "DenseCountStore",
-    "DEFAULT_CHUNK_SIZE",
     "write_symbol_file",
-    "OnlineMiner",
     "SlidingWindowMiner",
     "DriftEvent",
     "PeriodicityMonitor",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from .online import as_code_array, check_code_range
-from .window import SlidingWindowMiner
+from .window import SlidingWindowMiner, as_code_array, check_code_range
 
 __all__ = ["DriftEvent", "PeriodicityMonitor"]
 
@@ -70,6 +69,7 @@ class PeriodicityMonitor:
         if window <= period:
             raise ValueError("window must exceed the period")
         self._period = period
+        self._window = window
         self._floor = floor
         self._patience = patience
         self._check_every = period if check_every is None else check_every
@@ -133,7 +133,7 @@ class PeriodicityMonitor:
 
     def _check(self) -> DriftEvent | None:
         n = self._miner.n
-        if n % self._check_every or n < self._miner.window:
+        if n % self._check_every or n < self._window:
             return None
         confidence = self._miner.confidence(self._period)
         if confidence < self._floor:

@@ -27,8 +27,8 @@ __all__ = ["ChunkedReader", "CodeSink", "write_symbol_file"]
 class CodeSink(Protocol):
     """Anything that ingests code blocks: miners, monitors, ...
 
-    Satisfied structurally by :class:`~repro.streaming.online.OnlineMiner`,
-    :class:`~repro.streaming.window.SlidingWindowMiner`, and
+    Satisfied structurally by
+    :class:`~repro.streaming.window.SlidingWindowMiner` and
     :class:`~repro.streaming.monitor.PeriodicityMonitor`.
     """
 

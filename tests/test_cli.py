@@ -110,9 +110,10 @@ class TestMine:
             ["--psi", "0.5", "--max-arity", "0"],
             ["--psi", "0.5", "--periods", "12,0"],
             ["--psi", "0.5", "--periods", "twelve"],
+            ["--psi", "0.5", "--top", "-2"],
         ],
         ids=["psi-above-1", "psi-zero", "psi-nan", "max-period-0",
-             "max-arity-0", "period-0", "period-text"],
+             "max-arity-0", "period-0", "period-text", "top-negative"],
     )
     def test_bad_flag_values_exit_2_with_error(self, series_file, capsys, flags):
         with pytest.raises(SystemExit) as excinfo:
@@ -164,12 +165,10 @@ class TestStream:
 
     def test_sliding_window(self, series_file, capsys):
         code = main(["stream", str(series_file), "--psi", "0.8",
-                     "--max-period", "20", "--window", "120",
-                     "--chunk-size", "64"])
+                     "--max-period", "20", "--window", "120"])
         out = capsys.readouterr().out
         assert code == 0
         assert "window of last 120" in out
-        assert "chunk=64" in out
 
     def test_streaming_with_explicit_alphabet(self, series_file, capsys):
         code = main(["stream", str(series_file), "--psi", "0.8",
@@ -182,11 +181,6 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", str(series_file), "--psi", "0.5",
                   "--alphabet", "ab"])
-
-    def test_rejects_bad_chunk_size(self, series_file):
-        with pytest.raises(SystemExit):
-            main(["stream", str(series_file), "--psi", "0.5",
-                  "--chunk-size", "-3"])
 
 
 class TestGenerate:
@@ -257,6 +251,32 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert code == 0
         assert "Table" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "--psi", "0.5", "--window", "5"],
+        ["stream", "--psi", "0.5", "--max-period", "0"],
+        ["stream", "--psi", "0.5", "--top", "-2"],
+        ["periods", "--psi", "0.5", "--max-period", "0"],
+        ["periods", "--psi", "0.5", "--min-pairs", "0"],
+        ["forecast", "--horizon", "0"],
+        ["forecast", "--horizon", "3", "--max-period", "0"],
+        ["forecast", "--horizon", "3", "--period", "0"],
+    ],
+    ids=["stream-window-under-cap", "stream-max-period-0", "stream-top-negative",
+         "periods-max-period-0", "periods-min-pairs-0", "forecast-horizon-0",
+         "forecast-max-period-0", "forecast-period-0"],
+)
+def test_bad_values_exit_2_with_error(tmp_path, capsys, argv):
+    series = tmp_path / "series.txt"
+    series.write_text("abc" * 10)
+    command, *flags = argv
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(series), *flags])
+    assert excinfo.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_import_pulls_in_no_process_pool():

@@ -8,7 +8,7 @@ ValueError — never crash with an internal error.
 import numpy as np
 import pytest
 
-from repro import ConvolutionMiner, OnlineMiner, SpectralMiner, mine
+from repro import ConvolutionMiner, SpectralMiner, mine
 from repro.analysis import base_periods, describe_period, score_periodicities
 from repro.core import segment_supports
 from repro.baselines import (
@@ -117,12 +117,12 @@ class TestBaselines:
 
 class TestStreaming:
     def test_online_miner_no_input(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=4)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         assert miner.table().periods == []
         assert miner.periodicities(0.5) == []
 
     def test_online_miner_single_symbol(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=4)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         miner.append("a")
         assert miner.n == 1
         assert miner.table().periods == []
@@ -147,7 +147,8 @@ class TestEngineParity:
 
     @staticmethod
     def _streamed(series):
-        miner = OnlineMiner(series.alphabet, max_period=max(series.length // 2, 1))
+        cap = max(series.length // 2, 1)
+        miner = SlidingWindowMiner(series.alphabet, max_period=cap)
         miner.extend_codes(series.codes)
         return miner.table()
 
@@ -174,7 +175,7 @@ class TestEngineParity:
 
 class TestStreamingEdges:
     def test_extend_codes_with_empty_block_is_a_noop(self):
-        online = OnlineMiner(Alphabet("ab"), max_period=4)
+        online = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         online.extend_codes([])
         assert online.n == 0
         assert online.table().periods == []
@@ -183,7 +184,7 @@ class TestStreamingEdges:
         assert windowed.size == 0
 
     def test_extend_codes_empty_between_blocks_preserves_evidence(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=4)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         miner.extend_codes([0, 1, 0, 1])
         before = miner.table()
         miner.extend_codes([])
@@ -193,7 +194,7 @@ class TestStreamingEdges:
         rng = np.random.default_rng(12)
         codes = rng.integers(0, 3, size=240)
         alphabet = Alphabet("abc")
-        miner = OnlineMiner(alphabet, max_period=16)
+        miner = SlidingWindowMiner(alphabet, max_period=16)
         miner.extend_codes(codes)
         streamed = miner.table()
         series = SymbolSequence.from_codes(codes, alphabet)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import base_periods, group_harmonics
 from repro.core import ENGINES, Alphabet, ConvolutionMiner, SpectralMiner, SymbolSequence
 from repro.data import PowerConsumptionSimulator, generate_periodic
-from repro.streaming import OnlineMiner
+from repro.streaming import SlidingWindowMiner
 
 from conftest import witness_table
 
@@ -82,6 +82,6 @@ class TestEngineParity:
             kernel = ConvolutionMiner().periodicity_table(series)
             for engine in ENGINES:
                 assert witness_table(engine, series) == kernel
-            online = OnlineMiner(series.alphabet, max_period=n // 2)
+            online = SlidingWindowMiner(series.alphabet, max_period=n // 2)
             online.extend_codes(series.codes)
             assert online.table() == kernel

@@ -8,7 +8,7 @@ pytestmark = pytest.mark.slow  # end-to-end runs; `make test-fast` skips them
 from repro import (
     ChunkedReader,
     ConvolutionMiner,
-    OnlineMiner,
+    SlidingWindowMiner,
     SpectralMiner,
     mine,
 )
@@ -126,7 +126,7 @@ class TestStreamingParity:
             iter(reader), series
         )
 
-        online = OnlineMiner(series.alphabet, max_period=cap)
+        online = SlidingWindowMiner(series.alphabet, max_period=cap)
         online.consume(series)
 
         assert batch == streamed
@@ -136,7 +136,7 @@ class TestStreamingParity:
         """After consuming a prefix, the online table equals batch-mining
         that prefix — at any point in the stream."""
         series = generate_periodic(600, 9, 4, rng=rng)
-        online = OnlineMiner(series.alphabet, max_period=12)
+        online = SlidingWindowMiner(series.alphabet, max_period=12)
         checkpoints = (100, 350, 600)
         position = 0
         for checkpoint in checkpoints:

@@ -22,7 +22,7 @@ from repro.core import (
     segment_supports,
 )
 from repro.core.projection import projection_pairs
-from repro.streaming import OnlineMiner, SlidingWindowMiner
+from repro.streaming import SlidingWindowMiner
 
 from conftest import series_strategy
 
@@ -61,7 +61,7 @@ def test_prefix_online_equals_batch(series, split):
     """Online mining any prefix equals batch mining that prefix."""
     split = min(split, series.length)
     cap = max(series.length // 3, 1)
-    online = OnlineMiner(series.alphabet, max_period=cap)
+    online = SlidingWindowMiner(series.alphabet, max_period=cap)
     online.extend_codes(series.codes[:split])
     prefix = series[:split]
     assert online.table() == SpectralMiner(max_period=cap).periodicity_table(prefix)
@@ -74,7 +74,7 @@ def test_window_covering_whole_stream_equals_online(series):
     cap = max(series.length // 4, 1)
     window = series.length + 5
     sliding = SlidingWindowMiner(series.alphabet, max_period=cap, window=window)
-    online = OnlineMiner(series.alphabet, max_period=cap)
+    online = SlidingWindowMiner(series.alphabet, max_period=cap)
     sliding.extend_codes(series.codes)
     online.extend_codes(series.codes)
     assert sliding.table() == online.table()

@@ -62,7 +62,7 @@ class TestMineFacade:
     def test_prune_false_keeps_full_table(self):
         series = SymbolSequence.from_string("abcabcabcaaa")
         pruned = mine(series, psi=0.9)
-        full = mine(series, psi=0.9, prune=False)
+        full = mine(series, psi=0.9, algorithm="convolution")
         # the unpruned table can answer lower-threshold queries
         assert len(full.table.periodicities(0.1)) >= len(
             pruned.table.periodicities(0.1)
@@ -88,10 +88,7 @@ class TestMineFacade:
 
 @pytest.mark.parametrize("psi", [1.5, 0.0, -1.0])
 @pytest.mark.parametrize("algorithm", ["spectral", "convolution"])
-@pytest.mark.parametrize("prune", [True, False])
-def test_bad_psi_rejected_before_mining(
-    monkeypatch, paper_series, psi, algorithm, prune
-):
+def test_bad_psi_rejected_before_mining(monkeypatch, paper_series, psi, algorithm):
     """mine() checks psi up front, with one message, for every path."""
 
     def never(self, series):
@@ -100,7 +97,7 @@ def test_bad_psi_rejected_before_mining(
     monkeypatch.setattr(ConvolutionMiner, "periodicity_table", never)
     monkeypatch.setattr(SpectralMiner, "periodicity_table", never)
     with pytest.raises(ValueError, match=r"psi must be in \(0, 1\], got"):
-        mine(paper_series, psi=psi, algorithm=algorithm, prune=prune)
+        mine(paper_series, psi=psi, algorithm=algorithm)
 
 
 @pytest.mark.parametrize("algorithm", ["spectral", "convolution"])

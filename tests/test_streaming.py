@@ -1,4 +1,4 @@
-"""Tests for repro.streaming — chunked readers and the online miner."""
+"""Tests for repro.streaming — chunked readers and the whole-stream miner."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
-from repro.streaming import ChunkedReader, OnlineMiner, write_symbol_file
+from repro.streaming import ChunkedReader, SlidingWindowMiner, write_symbol_file
 
 from conftest import random_series, series_strategy
 
@@ -52,11 +52,11 @@ class TestChunkedReader:
             write_symbol_file(series, tmp_path / "bad.txt")
 
 
-class TestOnlineMiner:
+class TestWholeStreamMiner:
     def test_matches_batch_miner(self, rng):
         series = random_series(rng, 300, 4)
         cap = 40
-        online = OnlineMiner(series.alphabet, max_period=cap)
+        online = SlidingWindowMiner(series.alphabet, max_period=cap)
         online.consume(series)
         batch = SpectralMiner(max_period=cap).periodicity_table(series)
         assert online.table() == batch
@@ -64,57 +64,64 @@ class TestOnlineMiner:
     @settings(max_examples=40, deadline=None)
     @given(series=series_strategy(min_size=2, max_size=80), cap=st.integers(1, 20))
     def test_matches_batch_miner_property(self, series, cap):
-        online = OnlineMiner(series.alphabet, max_period=cap)
+        online = SlidingWindowMiner(series.alphabet, max_period=cap)
         online.consume(series)
         batch = SpectralMiner(max_period=cap).periodicity_table(series)
         assert online.table() == batch
 
     def test_incremental_equals_one_shot(self, rng):
         series = random_series(rng, 120, 3)
-        online = OnlineMiner(series.alphabet, max_period=15)
+        online = SlidingWindowMiner(series.alphabet, max_period=15)
         for code in series.codes:
             online.append_code(int(code))
         batch = SpectralMiner(max_period=15).periodicity_table(series)
         assert online.table() == batch
 
+    def test_scope_is_the_whole_stream(self, rng):
+        miner = SlidingWindowMiner(Alphabet.of_size(3), max_period=5)
+        miner.extend_codes(rng.integers(0, 3, size=500))
+        assert miner.window is None
+        assert miner.start == 0
+        assert miner.size == miner.n == 500
+
     def test_append_by_symbol(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=3)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=3)
         miner.extend("ababab")
         assert miner.n == 6
         assert miner.confidence(2) == pytest.approx(1.0)
 
     def test_confidence_grows_with_evidence(self, rng):
-        miner = OnlineMiner(Alphabet.of_size(4), max_period=10)
+        miner = SlidingWindowMiner(Alphabet.of_size(4), max_period=10)
         miner.extend_codes([0, 1, 2, 3] * 25)
         assert miner.confidence(4) == pytest.approx(1.0)
         assert miner.confidence(3) < 0.5
 
     def test_confidence_beyond_cap_raises(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=5)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=5)
         with pytest.raises(ValueError):
             miner.confidence(6)
 
     def test_rejects_bad_code(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=3)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=3)
         with pytest.raises(ValueError):
             miner.append_code(7)
 
     def test_rejects_bad_max_period(self):
         with pytest.raises(ValueError):
-            OnlineMiner(Alphabet("ab"), max_period=0)
+            SlidingWindowMiner(Alphabet("ab"), max_period=0)
 
     def test_consume_rejects_other_alphabet(self, rng):
-        miner = OnlineMiner(Alphabet("ab"), max_period=3)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=3)
         with pytest.raises(ValueError):
             miner.consume(random_series(rng, 10, 3))
 
     def test_periodicities_live_view(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=4)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         miner.extend("abab")
         assert miner.periodicities(0.9) != []
 
     def test_table_snapshot_is_independent(self):
-        miner = OnlineMiner(Alphabet("ab"), max_period=4)
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=4)
         miner.extend("abababab")
         snapshot = miner.table()
         miner.extend("bbbbbb")

@@ -1,12 +1,13 @@
 """Chunked-ingestion equivalence: every chunking == per-symbol feeding.
 
-The PR that vectorised the streaming layer keeps a hard guarantee: the
-chunk size is a pure performance knob.  These tests drive the online
-miner, the sliding-window miner, and the drift monitor with random
-chunkings — including chunk boundaries straddling window evictions and
-chunks larger than the window itself — and assert bit-for-bit equality
-of the evidence (and of the fired ``DriftEvent`` sequences) against
-per-symbol feeding and against batch mining.
+The vectorised streaming layer keeps a hard guarantee: how a stream is
+split into blocks never changes the evidence.  These tests drive the
+streaming miner (whole stream and sliding window) and the drift monitor
+with random chunkings — including chunk boundaries straddling window
+evictions, chunks larger than the window itself and blocks the miner
+splits internally — and assert bit-for-bit equality of the evidence
+(and of the fired ``DriftEvent`` sequences) against per-symbol feeding
+and against batch mining.
 """
 
 import numpy as np
@@ -19,10 +20,10 @@ from repro.core.periodicity import PeriodicityTable, dense_offsets, dense_size
 from repro.streaming import (
     ChunkedReader,
     DenseCountStore,
-    OnlineMiner,
     PeriodicityMonitor,
     SlidingWindowMiner,
 )
+from repro.streaming.window import INGEST_BLOCK
 
 
 def _chunks(codes: np.ndarray, sizes: list[int]):
@@ -37,7 +38,7 @@ def _chunks(codes: np.ndarray, sizes: list[int]):
         yield codes[position:]
 
 
-chunk_sizes = st.lists(st.integers(1, 50), min_size=1, max_size=20)
+block_sizes = st.lists(st.integers(1, 50), min_size=1, max_size=20)
 
 
 class TestOnlineChunked:
@@ -45,15 +46,15 @@ class TestOnlineChunked:
     @given(
         codes=st.lists(st.integers(0, 3), min_size=1, max_size=150),
         cap=st.integers(1, 20),
-        sizes=chunk_sizes,
+        sizes=block_sizes,
     )
     def test_any_chunking_equals_per_symbol(self, codes, cap, sizes):
         codes = np.array(codes, dtype=np.int64)
         alphabet = Alphabet.of_size(4)
-        chunked = OnlineMiner(alphabet, max_period=cap)
+        chunked = SlidingWindowMiner(alphabet, max_period=cap)
         for chunk in _chunks(codes, sizes):
             chunked.extend_codes(chunk)
-        scalar = OnlineMiner(alphabet, max_period=cap)
+        scalar = SlidingWindowMiner(alphabet, max_period=cap)
         for code in codes:
             scalar.append_code(int(code))
         assert chunked.table() == scalar.table()
@@ -62,13 +63,13 @@ class TestOnlineChunked:
     def test_one_shot_equals_batch(self, rng):
         codes = rng.integers(0, 5, size=400).astype(np.int64)
         alphabet = Alphabet.of_size(5)
-        miner = OnlineMiner(alphabet, max_period=30, chunk_size=64)
+        miner = SlidingWindowMiner(alphabet, max_period=30)
         miner.extend_codes(codes)
         series = SymbolSequence.from_codes(codes, alphabet)
         assert miner.table() == SpectralMiner(max_period=30).periodicity_table(series)
 
     def test_confidence_reads_live_counts(self, rng):
-        miner = OnlineMiner(Alphabet.of_size(4), max_period=12)
+        miner = SlidingWindowMiner(Alphabet.of_size(4), max_period=12)
         miner.extend_codes(rng.integers(0, 4, size=300).astype(np.int64))
         snapshot = miner.table()
         for period in (1, 4, 7, 12):
@@ -76,12 +77,8 @@ class TestOnlineChunked:
                 snapshot.confidence(period)
             )
 
-    def test_chunk_size_knob_validated(self):
-        with pytest.raises(ValueError):
-            OnlineMiner(Alphabet.of_size(2), max_period=4, chunk_size=0)
-
     def test_rejects_out_of_range_chunk(self):
-        miner = OnlineMiner(Alphabet.of_size(3), max_period=4)
+        miner = SlidingWindowMiner(Alphabet.of_size(3), max_period=4)
         with pytest.raises(ValueError):
             miner.extend_codes(np.array([0, 1, 7], dtype=np.int64))
         with pytest.raises(ValueError):
@@ -92,12 +89,13 @@ class TestWindowChunked:
     @settings(max_examples=40, deadline=None)
     @given(
         codes=st.lists(st.integers(0, 2), min_size=1, max_size=150),
-        window=st.integers(5, 30),
+        window=st.none() | st.integers(5, 30),
         cap=st.integers(1, 12),
-        sizes=chunk_sizes,
+        sizes=block_sizes,
     )
     def test_any_chunking_equals_per_symbol(self, codes, window, cap, sizes):
-        cap = min(cap, window - 1)
+        if window is not None:
+            cap = min(cap, window - 1)
         codes = np.array(codes, dtype=np.int64)
         alphabet = Alphabet.of_size(3)
         chunked = SlidingWindowMiner(alphabet, max_period=cap, window=window)
@@ -130,14 +128,29 @@ class TestWindowChunked:
         alphabet = Alphabet.of_size(3)
         window, cap = 16, 6
         codes = rng.integers(0, 3, size=100).astype(np.int64)
-        miner = SlidingWindowMiner(
-            alphabet, max_period=cap, window=window, chunk_size=100
-        )
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
         miner.extend_codes(codes)
         batch = SpectralMiner(max_period=cap).periodicity_table(
             SymbolSequence.from_codes(codes[-window:], alphabet)
         )
         assert miner.table() == batch
+
+    @pytest.mark.parametrize("window", [None, 3000])
+    def test_block_split_internally_equals_batch(self, rng, window):
+        # One extend_codes call longer than two ingestion blocks: the
+        # miner sweeps it in INGEST_BLOCK pieces, and the window also
+        # evicts across those piece boundaries.
+        alphabet = Alphabet.of_size(4)
+        cap = 40
+        codes = rng.integers(0, 4, size=2 * INGEST_BLOCK + 37).astype(np.int64)
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
+        miner.extend_codes(codes)
+        scope = codes if window is None else codes[-window:]
+        batch = SpectralMiner(max_period=cap).periodicity_table(
+            SymbolSequence.from_codes(scope, alphabet)
+        )
+        assert miner.table() == batch
+        assert miner.size == scope.size
 
     def test_confidence_reads_live_counts(self, rng):
         miner = SlidingWindowMiner(Alphabet.of_size(3), max_period=10, window=40)
@@ -193,10 +206,10 @@ class TestReaderFeedInto:
         alphabet = Alphabet.of_size(4)
         series = SymbolSequence.from_codes(codes, alphabet)
         reader = ChunkedReader(series, block_size=37)
-        miner = OnlineMiner(alphabet, max_period=20)
+        miner = SlidingWindowMiner(alphabet, max_period=20)
         fed = reader.feed_into(miner)
         assert fed == 250
-        direct = OnlineMiner(alphabet, max_period=20)
+        direct = SlidingWindowMiner(alphabet, max_period=20)
         direct.extend_codes(codes)
         assert miner.table() == direct.table()
 
@@ -232,7 +245,7 @@ class TestDenseCountStore:
         sigma, cap, n = 4, 9, 120
         alphabet = Alphabet.of_size(sigma)
         codes = rng.integers(0, sigma, size=n).astype(np.int64)
-        miner = OnlineMiner(alphabet, max_period=cap)
+        miner = SlidingWindowMiner(alphabet, max_period=cap)
         miner.extend_codes(codes)
         table = miner.table()
         # Rebuild the dense array from the table and convert back.
